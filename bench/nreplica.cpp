@@ -22,7 +22,8 @@
 //
 //   perf      Synthetic-trace throughput of the group datapath, batched
 //             (on_group_cycles) vs per-cycle (on_group_cycle) delivery
-//             for n in {2, 3, 4}. The machine-independent ratios live
+//             for n in {2, 3, 4}, plus n = 4 under CRC compare. The
+//             machine-independent ratios live
 //             under "speedups" and are gated against
 //             bench/baselines/BENCH_nreplica.json by tools/bench_diff.
 //
@@ -179,11 +180,12 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-monitor::SafeDmConfig perf_config(unsigned n) {
+monitor::SafeDmConfig perf_config(unsigned n, monitor::CompareMode compare) {
   monitor::SafeDmConfig config;
   config.num_replicas = n;
   config.num_ports = 3;
   config.data_fifo_depth = 4;
+  config.compare = compare;
   config.start_enabled = true;
   config.arm_on_first_commit = false;
   return config;
@@ -194,9 +196,10 @@ struct PerfResult {
   u64 nodiv = 0;  // consumed so the compiler cannot elide the work
 };
 
-PerfResult pump_percycle(unsigned n, u64 cycles, const GroupTrace& trace) {
+PerfResult pump_percycle(unsigned n, monitor::CompareMode compare, u64 cycles,
+                         const GroupTrace& trace) {
   const auto start = std::chrono::steady_clock::now();
-  monitor::SafeDm dm(perf_config(n));
+  monitor::SafeDm dm(perf_config(n, compare));
   const std::size_t len = trace.length();
   const core::CoreTapFrame* frames[soc::kMaxGroupReplicas];
   for (u64 c = 0, i = 0; c < cycles; ++c) {
@@ -209,9 +212,10 @@ PerfResult pump_percycle(unsigned n, u64 cycles, const GroupTrace& trace) {
                     dm.counters().nodiv_cycles};
 }
 
-PerfResult pump_batched(unsigned n, u64 cycles, const GroupTrace& trace) {
+PerfResult pump_batched(unsigned n, monitor::CompareMode compare, u64 cycles,
+                        const GroupTrace& trace) {
   const auto start = std::chrono::steady_clock::now();
-  monitor::SafeDm dm(perf_config(n));
+  monitor::SafeDm dm(perf_config(n, compare));
   const u64 len = trace.length();
   const core::CoreTapFrame* frames[soc::kMaxGroupReplicas];
   for (unsigned r = 0; r < n; ++r) frames[r] = trace.replica[r].data();
@@ -226,7 +230,9 @@ PerfResult pump_batched(unsigned n, u64 cycles, const GroupTrace& trace) {
 }
 
 struct PerfMode {
+  std::string name;  // JSON key: "n<replicas>", suffixed "_crc" for CRC compare
   unsigned n = 0;
+  monitor::CompareMode compare = monitor::CompareMode::kRaw;
   bench::Measurement percycle;
   bench::Measurement batched;
   u64 nodiv_percycle = 0;
@@ -360,19 +366,27 @@ int main(int argc, char** argv) {
   std::vector<PerfMode> perf;
   for (const unsigned n : {2u, 3u, 4u}) {
     PerfMode mode;
+    mode.name = "n" + std::to_string(n);
     mode.n = n;
+    perf.push_back(std::move(mode));
+  }
+  {
+    PerfMode mode;  // the group4_crc end-to-end workload's compare mode
+    mode.name = "n4_crc";
+    mode.n = 4;
+    mode.compare = monitor::CompareMode::kCrc32;
     perf.push_back(std::move(mode));
   }
   // Warm-up so lazy page faults / frequency scaling don't skew rep 0.
   {
     const GroupTrace warm = make_group_trace(2, 64, 0x5AFE1000);
-    pump_batched(2, std::min<u64>(cycles / 4 + 1, 200'000), warm);
+    pump_batched(2, monitor::CompareMode::kRaw, std::min<u64>(cycles / 4 + 1, 200'000), warm);
   }
   for (unsigned rep = 0; rep < reps; ++rep) {
     for (PerfMode& mode : perf) {
       const GroupTrace trace = make_group_trace(mode.n, 64, 0x5AFE1000 + mode.n);
-      const PerfResult pc = pump_percycle(mode.n, cycles, trace);
-      const PerfResult ba = pump_batched(mode.n, cycles, trace);
+      const PerfResult pc = pump_percycle(mode.n, mode.compare, cycles, trace);
+      const PerfResult ba = pump_batched(mode.n, mode.compare, cycles, trace);
       mode.percycle.add(pc.cycles_per_sec);
       mode.batched.add(ba.cycles_per_sec);
       mode.nodiv_percycle = pc.nodiv;
@@ -381,9 +395,9 @@ int main(int argc, char** argv) {
   }
   std::printf("group datapath throughput (%llu cycles x %u reps, m=3 n=4, matched frames)\n",
               static_cast<unsigned long long>(cycles), reps);
-  std::printf("  %-4s %16s %16s %10s\n", "n", "per-cycle c/s", "batched c/s", "speedup");
+  std::printf("  %-7s %16s %16s %10s\n", "mode", "per-cycle c/s", "batched c/s", "speedup");
   for (const PerfMode& mode : perf)
-    std::printf("  %-4u %16.0f %16.0f %9.2fx\n", mode.n, mode.percycle.best(),
+    std::printf("  %-7s %16.0f %16.0f %9.2fx\n", mode.name.c_str(), mode.percycle.best(),
                 mode.batched.best(), mode.speedup());
 
   // ---- JSON ----------------------------------------------------------------
@@ -408,7 +422,7 @@ int main(int argc, char** argv) {
   json.prop("reps", reps);
   json.key("perf").begin_object();
   for (const PerfMode& mode : perf) {
-    json.key("n" + std::to_string(mode.n)).begin_object();
+    json.key(mode.name).begin_object();
     json.prop("percycle_cycles_per_sec", mode.percycle.best(), 1)
         .prop("percycle_median", mode.percycle.median(), 1)
         .prop("percycle_stddev", mode.percycle.stddev(), 1)
@@ -421,7 +435,7 @@ int main(int argc, char** argv) {
   json.end_object();
   json.key("speedups").begin_object();
   for (const PerfMode& mode : perf)
-    json.prop("group_batched_vs_percycle_n" + std::to_string(mode.n), mode.speedup(), 3);
+    json.prop("group_batched_vs_percycle_" + mode.name, mode.speedup(), 3);
   json.end_object();
   json.end_object();
   if (json.write_file(json_path)) {
@@ -470,21 +484,22 @@ int main(int argc, char** argv) {
     // by tools/bench_diff against the committed baseline).
     for (const PerfMode& mode : perf) {
       if (mode.nodiv_batched != mode.nodiv_percycle) {
-        std::fprintf(stderr, "NREPLICA-SMOKE FAIL: n=%u batched nodiv %llu != per-cycle %llu\n",
-                     mode.n, static_cast<unsigned long long>(mode.nodiv_batched),
+        std::fprintf(stderr, "NREPLICA-SMOKE FAIL: %s batched nodiv %llu != per-cycle %llu\n",
+                     mode.name.c_str(), static_cast<unsigned long long>(mode.nodiv_batched),
                      static_cast<unsigned long long>(mode.nodiv_percycle));
         return 1;
       }
       if (mode.speedup() < 1.0) {
-        std::fprintf(stderr, "NREPLICA-SMOKE FAIL: n=%u batched path slower than per-cycle "
+        std::fprintf(stderr, "NREPLICA-SMOKE FAIL: %s batched path slower than per-cycle "
                              "(%.2fx)\n",
-                     mode.n, mode.speedup());
+                     mode.name.c_str(), mode.speedup());
         return 1;
       }
     }
     std::printf("nreplica-smoke OK: policy identities exact, batched path verdict-exact "
-                "(n2 %.2fx, n3 %.2fx, n4 %.2fx), hetero min distance %llu > homo %llu\n",
-                perf[0].speedup(), perf[1].speedup(), perf[2].speedup(),
+                "(n2 %.2fx, n3 %.2fx, n4 %.2fx, n4_crc %.2fx), hetero min distance %llu > "
+                "homo %llu\n",
+                perf[0].speedup(), perf[1].speedup(), perf[2].speedup(), perf[3].speedup(),
                 static_cast<unsigned long long>(hetero.min_pair_distance()),
                 static_cast<unsigned long long>(homo.min_pair_distance()));
   }

@@ -8,9 +8,10 @@
 //
 // The "legacy" baseline is a faithful replica of the original per-cycle
 // code: vector-of-vectors ring buffers indexed with modulo arithmetic, a
-// full whole-signature comparison every cycle, and (flat IS mode) a
-// heap-allocated flatten per comparison. It exists only here, as the
-// fixed reference point the speedup is measured against.
+// full whole-signature comparison every cycle, (flat IS mode) a
+// heap-allocated flatten per comparison, and its own byte-at-a-time
+// CRC-32. It exists only here, as the fixed reference point the speedup is
+// measured against.
 //
 // Frames are a deterministic synthetic stream (xoshiro-seeded). The
 // headline "matched" scenario feeds both cores identical busy frames —
@@ -23,8 +24,11 @@
 //   --reps: repetitions per mode; the best is the headline number and
 //   min/median/stddev land in the JSON (hwvar-style noise reporting).
 //   --check exits nonzero if the incremental comparator is not faster
-//   than the exhaustive path or the batched path loses its edge over the
-//   per-cycle incremental one (the perf-smoke CTest gate).
+//   than the exhaustive path, the batched path loses its edge over the
+//   per-cycle incremental one, or the CRC batched path is slower than (or
+//   disagrees on nodiv with) per-cycle CRC incremental (the perf-smoke
+//   CTest gate).
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +49,29 @@ namespace simd = safedm::monitor::simd;
 namespace legacy {
 
 // ---- pre-incremental SignatureGenerator + monitor datapath replica ------
+
+// The pre-PR byte-at-a-time CRC-32 (same values as safedm::Crc32), kept
+// private so the frozen baseline does not speed up along with it.
+class Crc32 {
+ public:
+  void add(u64 word) {
+    for (int i = 0; i < 8; ++i) add_byte(static_cast<u8>(word >> (8 * i)));
+  }
+  void add_byte(u8 byte) { crc_ = (crc_ >> 8) ^ kTable[(crc_ ^ byte) & 0xFFu]; }
+  u32 value() const { return ~crc_; }
+
+ private:
+  static constexpr std::array<u32, 256> kTable = [] {
+    std::array<u32, 256> table{};
+    for (u32 i = 0; i < 256; ++i) {
+      u32 c = i;
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+      table[i] = c;
+    }
+    return table;
+  }();
+  u32 crc_ = 0xFFFFFFFFu;
+};
 
 // The pre-PR stage slot: `bool valid` plus padding. The padded layout is
 // part of the baseline being measured — it forces the element-wise struct
@@ -324,10 +351,10 @@ ModeResult run_safedm(const std::string& name, u64 cycles, const Trace& trace,
 /// MpSoc's observer batching (or a bench rig) hands frames over. The
 /// monitor chunks internally at 64 cycles.
 ModeResult run_safedm_batched(const std::string& name, u64 cycles, const Trace& trace,
-                              simd::Kernel kernel) {
+                              monitor::CompareMode compare, simd::Kernel kernel) {
   return measure(name, cycles, [&](u64 n) {
     const simd::Kernel previous = simd::force_kernel(kernel);
-    monitor::SafeDmConfig config = bench_config(monitor::CompareMode::kRaw);
+    monitor::SafeDmConfig config = bench_config(compare);
     config.incremental_compare = true;
     monitor::SafeDm dm(config);
     const u64 len = trace.length();
@@ -385,7 +412,8 @@ int main(int argc, char** argv) {
 
   // Warm-up pass so lazy page faults / frequency scaling don't skew the
   // first measurement.
-  run_safedm_batched("warmup", std::min<u64>(cycles / 4 + 1, 200'000), matched, kernel);
+  run_safedm_batched("warmup", std::min<u64>(cycles / 4 + 1, 200'000), matched,
+                     monitor::CompareMode::kRaw, kernel);
 
   const std::vector<std::function<ModeResult()>> modes = {
       [&] { return run_legacy("raw_legacy", cycles, matched, monitor::CompareMode::kRaw); },
@@ -395,10 +423,13 @@ int main(int argc, char** argv) {
       [&] {
         return run_safedm("raw_incremental", cycles, matched, monitor::CompareMode::kRaw, true);
       },
-      [&] { return run_safedm_batched("raw_batched", cycles, matched, kernel); },
+      [&] {
+        return run_safedm_batched("raw_batched", cycles, matched, monitor::CompareMode::kRaw,
+                                  kernel);
+      },
       [&] {
         return run_safedm_batched("raw_batched_portable", cycles, matched,
-                                  simd::Kernel::kPortable);
+                                  monitor::CompareMode::kRaw, simd::Kernel::kPortable);
       },
       [&] { return run_legacy("crc_legacy", cycles, matched, monitor::CompareMode::kCrc32); },
       [&] {
@@ -408,13 +439,20 @@ int main(int argc, char** argv) {
         return run_safedm("crc_incremental", cycles, matched, monitor::CompareMode::kCrc32, true);
       },
       [&] {
+        return run_safedm_batched("crc_batched", cycles, matched, monitor::CompareMode::kCrc32,
+                                  kernel);
+      },
+      [&] {
         return run_legacy("raw_legacy_divergent", cycles, divergent, monitor::CompareMode::kRaw);
       },
       [&] {
         return run_safedm("raw_incremental_divergent", cycles, divergent,
                           monitor::CompareMode::kRaw, true);
       },
-      [&] { return run_safedm_batched("raw_batched_divergent", cycles, divergent, kernel); },
+      [&] {
+        return run_safedm_batched("raw_batched_divergent", cycles, divergent,
+                                  monitor::CompareMode::kRaw, kernel);
+      },
   };
   // Repetitions are interleaved round-robin across modes so a burst of
   // background load cannot bias one mode's every repetition.
@@ -439,6 +477,8 @@ int main(int argc, char** argv) {
   const double raw_vs_exhaustive = best("raw_incremental") / best("raw_exhaustive");
   const double crc_vs_legacy = best("crc_incremental") / best("crc_legacy");
   const double crc_vs_exhaustive = best("crc_incremental") / best("crc_exhaustive");
+  const double crc_batched_vs_legacy = best("crc_batched") / best("crc_legacy");
+  const double crc_batched_vs_incremental = best("crc_batched") / best("crc_incremental");
   const double batched_vs_incremental = best("raw_batched") / best("raw_incremental");
   const double batched_portable_vs_incremental =
       best("raw_batched_portable") / best("raw_incremental");
@@ -468,6 +508,9 @@ int main(int argc, char** argv) {
               batched_divergent_vs_incremental);
   std::printf("speedup crc incremental vs legacy (pre-PR):  %.2fx\n", crc_vs_legacy);
   std::printf("speedup crc incremental vs exhaustive:       %.2fx\n", crc_vs_exhaustive);
+  std::printf("speedup crc batched vs legacy (pre-PR):      %.2fx\n", crc_batched_vs_legacy);
+  std::printf("speedup crc batched vs incremental:          %.2fx\n",
+              crc_batched_vs_incremental);
 
   bench::JsonWriter json;
   json.begin_object();
@@ -501,7 +544,8 @@ int main(int argc, char** argv) {
       .prop("raw_batched_portable_vs_legacy", batched_portable_vs_legacy, 3)
       .prop("raw_batched_divergent_vs_incremental", batched_divergent_vs_incremental, 3)
       .prop("crc_incremental_vs_legacy", crc_vs_legacy, 3)
-      .prop("crc_incremental_vs_exhaustive", crc_vs_exhaustive, 3);
+      .prop("crc_incremental_vs_exhaustive", crc_vs_exhaustive, 3)
+      .prop("crc_batched_vs_legacy", crc_batched_vs_legacy, 3);
   json.end_object();
   json.end_object();
   if (json.write_file(json_path)) {
@@ -543,11 +587,25 @@ int main(int argc, char** argv) {
                    batched_portable_vs_legacy);
       return 1;
     }
+    if (crc_batched_vs_incremental < 1.0) {
+      std::fprintf(stderr,
+                   "PERF-SMOKE FAIL: CRC batched path slower than per-cycle CRC "
+                   "incremental (%.2fx)\n",
+                   crc_batched_vs_incremental);
+      return 1;
+    }
+    if (find("crc_batched").nodiv != find("crc_incremental").nodiv) {
+      std::fprintf(stderr, "PERF-SMOKE FAIL: CRC batched nodiv %llu != incremental %llu\n",
+                   static_cast<unsigned long long>(find("crc_batched").nodiv),
+                   static_cast<unsigned long long>(find("crc_incremental").nodiv));
+      return 1;
+    }
     std::printf(
         "perf-smoke OK: incremental %.2fx vs exhaustive, batched %.2fx vs incremental, "
-        "batched %.2fx (portable %.2fx) vs pre-PR baseline\n",
+        "batched %.2fx (portable %.2fx) vs pre-PR baseline, crc batched %.2fx vs "
+        "incremental\n",
         raw_vs_exhaustive, batched_vs_incremental, batched_vs_legacy,
-        batched_portable_vs_legacy);
+        batched_portable_vs_legacy, crc_batched_vs_incremental);
   }
   return 0;
 }

@@ -28,6 +28,10 @@
 #                      the single-process JSON)
 #   ./ci.sh tsan       ThreadSanitizer build (SAFEDM_SANITIZE=thread preset)
 #                      running the unit+property labels
+#   ./ci.sh e2e        the end-to-end benchmark's self-test: configure and
+#                      build bench/e2e (a CMake project of its own) into
+#                      build/e2e, then ctest --test-dir build/e2e
+#                      (e2e_selftest: every mode at quick sizes)
 #   ./ci.sh coverage   gcov-instrumented build + ctest (perf excluded) +
 #                      per-subsystem line-coverage summary, so fuzzer-driven
 #                      coverage gains are measurable run over run; also runs
@@ -114,6 +118,13 @@ run_tsan() {
   ctest --preset tsan -j "${JOBS}"
 }
 
+run_e2e() {
+  echo "==> end-to-end benchmark self-test (bench/e2e)"
+  cmake -S bench/e2e -B build/e2e -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build build/e2e -j "${JOBS}"
+  ctest --test-dir build/e2e --output-on-failure
+}
+
 run_coverage() {
   echo "==> coverage build (gcov)"
   cmake --preset coverage
@@ -167,12 +178,13 @@ case "${STAGE}" in
   perf) run_perf ;;
   fleet) run_fleet ;;
   tsan) run_tsan ;;
+  e2e) run_e2e ;;
   coverage)
     run_coverage
     run_analyze
     ;;
   *)
-    echo "unknown stage: ${STAGE} (expected: analyze, perf, fleet, tsan, or coverage)" >&2
+    echo "unknown stage: ${STAGE} (expected: analyze, perf, fleet, tsan, e2e, or coverage)" >&2
     exit 2
     ;;
 esac

@@ -27,15 +27,19 @@ DiversityComparator::DiversityComparator(const SignatureGenerator& a,
                        a.config().data_fifo_depth == b.config().data_fifo_depth &&
                        a.config().is_mode == b.config().is_mode,
                    "comparator requires generators of identical geometry");
-  port_mismatch_.assign(static_cast<size_t>(ports_) * mask_words_, 0);
+  if (!crc_mode_) port_mismatch_.assign(static_cast<size_t>(ports_) * mask_words_, 0);
   resync();
 }
 
 void DiversityComparator::resync() {
   seen_shift_a_ = a_->shift_count();
   seen_shift_b_ = b_->shift_count();
-  rescan_data();
-  refresh_data_verdict();
+  if (crc_mode_) {
+    ds_match_ = a_->data_crc() == b_->data_crc();
+  } else {
+    rescan_data();
+    ds_match_ = mismatch_agg_ == 0;
+  }
   seen_stage_a_ = a_->stage_version();
   seen_stage_b_ = b_->stage_version();
   recompute_instruction_verdict();
@@ -103,12 +107,6 @@ void DiversityComparator::shift_insert_multiword(u64 sa, u64 sb) {
     for (unsigned w = 0; w < mask_words_; ++w) agg |= m[w];
   }
   mismatch_agg_ = agg;
-}
-
-void DiversityComparator::refresh_data_verdict() {
-  // Raw mode: the mismatch masks are exact at every depth (multi-word
-  // beyond 64), so the aggregate IS the verdict — no exhaustive fallback.
-  ds_match_ = crc_mode_ ? a_->data_crc() == b_->data_crc() : mismatch_agg_ == 0;
 }
 
 void DiversityComparator::recompute_instruction_verdict() {

@@ -21,9 +21,12 @@
 // IS bookkeeping: the verdict is recomputed only when either core's
 // pipeline-stage snapshot version changed; held pipelines reuse it.
 //
-// CompareMode::kCrc32 routes through the generators' dirty-bit-cached
-// CRCs instead, preserving the compressed compare's collision semantics
-// (the A2 ablation's false-negative risk).
+// CompareMode::kCrc32 keeps no masks: each generator rolls its own window
+// CRC on every shift (SignatureGenerator::shift_crc), so after any shift,
+// aligned or not, the DS verdict is one compare of the two folded CRCs.
+// That preserves the compressed compare's collision semantics (the A2
+// ablation's false-negative risk), and Stats classify cycles exactly as in
+// raw mode.
 #pragma once
 
 #include <vector>
@@ -52,7 +55,10 @@ class DiversityComparator {
     seen_shift_a_ = sa;
     seen_shift_b_ = sb;
 
-    if (da == 1 && db == 1) {
+    if (crc_mode_) {
+      if (da == 0 && db == 0) ++stats_.hold_reuses;
+      else step_crc(da == 1 && db == 1);
+    } else if (da == 1 && db == 1) {
       if (mask_words_ == 1) {
         // Both shifted: every logical position ages down by one; the
         // evicted (oldest) pair falls off the bottom of each mask and the
@@ -78,8 +84,7 @@ class DiversityComparator {
         // depth > 64: same aging, across multiple mask words per port.
         shift_insert_multiword(sa, sb);
       }
-      if (!crc_mode_) ds_match_ = mismatch_agg_ == 0;
-      else refresh_data_verdict();
+      ds_match_ = mismatch_agg_ == 0;
       ++stats_.fast_updates;
     } else if (da == 0 && db == 0) {
       // Both held: window contents unchanged, verdict carries over.
@@ -88,7 +93,7 @@ class DiversityComparator {
       // Hold signals diverged (or a multi-shift gap): the windows
       // de-aligned relative to each other, so realign with one full scan.
       rescan_data();
-      refresh_data_verdict();
+      ds_match_ = mismatch_agg_ == 0;
       ++stats_.realign_scans;
     }
 
@@ -122,43 +127,26 @@ class DiversityComparator {
   // ---- batched fast-path hooks (SafeDm::on_cycles) ------------------------
   //
   // The chunk loop owns the shift cursors locally and calls exactly one of
-  // step_shift / step_realign per shifted cycle (both-held cycles touch
-  // nothing; their count is handed to batch_commit). Contract: raw compare
-  // mode, single-word masks (depth <= 64); for step_realign the caller has
-  // already written the cycle's samples into both generators' ring planes.
+  // step_shift / step_realign (raw mode) or step_crc (CRC mode) per shifted
+  // cycle (both-held cycles touch nothing; their count is handed to
+  // batch_commit). Contract: single-word masks (depth <= 64); for
+  // step_realign and step_crc the caller has already written the cycle's
+  // samples into the generators' ring planes (and rolled their CRCs).
   // batch_commit runs once per chunk, after the generators' own
   // batch_commit, to sync cursors and fold in the amortized stats.
 
   /// Both cores shifted: age the masks and insert the newest pair straight
-  /// from the tap frames (no ring read). Returns the DS verdict.
+  /// from the tap frames (no ring read). Returns the DS verdict. P bakes
+  /// the port count in at compile time (0: the runtime count), so the
+  /// pairwise chunk loop can fully unroll the mask update alongside its
+  /// ring-plane writes (which read the same frame ports).
+  template <unsigned P = 0>
   bool step_shift(const core::CoreTapFrame& fa, const core::CoreTapFrame& fb) {
+    const unsigned ports = P != 0 ? P : ports_;
     const unsigned top = depth_ - 1;
     u64* masks = port_mismatch_.data();
     u64 agg = 0;
-    for (unsigned p = 0; p < ports_; ++p) {
-      u64 mask = masks[p] >> 1;
-      mask |= static_cast<u64>((fa.port[p].value != fb.port[p].value) |
-                               (fa.port[p].enable != fb.port[p].enable))
-              << top;
-      masks[p] = mask;
-      agg |= mask;
-    }
-    mismatch_agg_ = agg;
-    ds_match_ = agg == 0;
-    ++stats_.fast_updates;
-    return ds_match_;
-  }
-
-  /// step_shift with the port count baked in at compile time: the chunk
-  /// loop dispatches once on config_.num_ports, and the constant trip
-  /// count lets the compiler fully unroll the mask update alongside the
-  /// caller's ring-plane writes (which read the same frame ports).
-  template <unsigned P>
-  bool step_shift_fixed(const core::CoreTapFrame& fa, const core::CoreTapFrame& fb) {
-    const unsigned top = depth_ - 1;
-    u64* masks = port_mismatch_.data();
-    u64 agg = 0;
-    for (unsigned p = 0; p < P; ++p) {  // constexpr bound: fully unrolled
+    for (unsigned p = 0; p < ports; ++p) {
       u64 mask = masks[p] >> 1;
       mask |= static_cast<u64>((fa.port[p].value != fb.port[p].value) |
                                (fa.port[p].enable != fb.port[p].enable))
@@ -176,6 +164,16 @@ class DiversityComparator {
   /// at the caller's explicit shift cursors (the generators' own cursors
   /// lag until batch_commit). Returns the DS verdict.
   bool step_realign(u64 sa, u64 sb);
+
+  /// CRC mode, any shift: the generators' rolling CRCs already cover it,
+  /// so the verdict is one compare of their folded data CRCs.
+  /// `both_shifted` picks the stats class (fast update vs realign), as
+  /// update() would. Returns the DS verdict.
+  bool step_crc(bool both_shifted) {
+    ds_match_ = a_->data_crc() == b_->data_crc();
+    ++(both_shifted ? stats_.fast_updates : stats_.realign_scans);
+    return ds_match_;
+  }
 
   /// End of chunk: sync cursors to the (already batch-committed)
   /// generators, fold in per-chunk stats, and install the final IS verdict.
@@ -212,7 +210,6 @@ class DiversityComparator {
   void rescan_at(u64 sa, u64 sb);
   void scan_port(unsigned p, u64 sa, u64 sb, u64* out) const;
   void shift_insert_multiword(u64 sa, u64 sb);
-  void refresh_data_verdict();
   void recompute_instruction_verdict();
 
   // Everything except stats_ is derived from the attached generators and
@@ -234,7 +231,7 @@ class DiversityComparator {
   unsigned mask_words_; // lint: no-snapshot(ceil(depth/64), derived)
 
   // bit i of word i/64: logical pos i differs; ports_ x mask_words_,
-  // port-major.
+  // port-major. Empty in CRC mode.
   std::vector<u64> port_mismatch_;  // lint: no-snapshot(rebuilt by resync())
   u64 mismatch_agg_ = 0;  // lint: no-snapshot(OR of all port masks, rebuilt by resync())
 

@@ -180,11 +180,13 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   /// benches): processes `n` consecutive cycles with per-cycle semantics —
   /// the verdict stream, counters, histograms, IRQ timing, and snapshot
   /// bytes are bit-identical to n on_cycle calls, independent of batch
-  /// boundaries. Eligible spans (raw per-stage incremental mode, depth
-  /// <= 64, enabled + armed, no halted frames) run a chunked fast loop
-  /// that compares stage words via one SIMD op, updates the bit-sliced
-  /// mismatch masks in place, and commits generator/comparator/counter
-  /// state once per chunk; everything else falls back to on_cycle.
+  /// boundaries. Eligible spans (incremental per-stage mode, raw or CRC
+  /// compare, depth <= 64, enabled + armed, no halted frames) run a
+  /// chunked fast loop and commit generator/comparator/counter state once
+  /// per chunk; everything else falls back to on_cycle. Raw compare
+  /// compares stage words via one SIMD op and updates the bit-sliced
+  /// mismatch masks in place; CRC compare rolls each port's window CRC
+  /// and rehashes a replica's IS CRC only when its stage words change.
   void on_cycles(u64 first_cycle, const core::CoreTapFrame* frame0,
                  const core::CoreTapFrame* frame1, unsigned n) override;
 
@@ -262,10 +264,11 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   bool batch_fast_eligible() const;
   void process_chunk(u64 first_cycle, const core::CoreTapFrame* frame0,
                      const core::CoreTapFrame* frame1, unsigned m);
-  /// Chunk loop body with the port count baked in (P == 0: runtime count).
-  /// process_chunk dispatches on config_.num_ports so the per-cycle port
-  /// loops fully unroll; defined in monitor.cpp (only instantiated there).
-  template <unsigned P>
+  /// Chunk loop body with the port count (P == 0: runtime count) and the
+  /// compare mode baked in. process_chunk dispatches on config_ so the raw
+  /// per-cycle port loops fully unroll; defined in monitor.cpp (only
+  /// instantiated there).
+  template <unsigned P, bool kCrc>
   void process_chunk_ports(u64 first_cycle, const core::CoreTapFrame* frame0,
                            const core::CoreTapFrame* frame1, unsigned m);
   /// N > 2 per-cycle matrix update (the group analogue of on_cycle's body).

@@ -2,7 +2,7 @@
 //
 //   1. A 2-replica monitor driven through the *group* hooks
 //      (on_group_cycle / on_group_cycles) is bit-identical to the legacy
-//      pairwise delivery across the full batched-equivalence sweep (48
+//      pairwise delivery across the full batched-equivalence sweep (72
 //      scenarios: depths x ports x compare x IS modes) — verdict trail,
 //      counters, and serialized state bytes.
 //
@@ -49,7 +49,9 @@ std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
 std::vector<Scenario> make_scenarios() {
   std::vector<Scenario> scenarios;
   u64 seed = 1;
-  for (unsigned depth : {4u, 8u, 64u, 128u})
+  // 3 and 12 (the evicted ring slot is not the one written) come last so
+  // earlier scenarios keep their seeds and names.
+  for (unsigned depth : {4u, 8u, 64u, 128u, 3u, 12u})
     for (unsigned ports : {1u, 2u, 3u})
       for (CompareMode compare : {CompareMode::kRaw, CompareMode::kCrc32})
         for (IsMode is_mode : {IsMode::kPerStage, IsMode::kFlatList})
@@ -228,18 +230,13 @@ std::vector<GroupCase> make_group_cases() {
   return cases;
 }
 
-class GroupBatchedEquivalence : public ::testing::TestWithParam<GroupCase> {};
-
-TEST_P(GroupBatchedEquivalence, MatrixCountersAndStateMatchPerCycleDelivery) {
-  const GroupCase& gcase = GetParam();
-  SafeDmConfig config = group_config(gcase.replicas);
-  config.compare = gcase.compare;
-  config.track_distance = gcase.track_distance;
-
-  const unsigned n = gcase.replicas;
+/// Per-cycle vs batched (random chunks, plus a monitor restored from a
+/// mid-stream snapshot) delivery of one scripted stream under `config`.
+void expect_batched_matches_per_cycle(const SafeDmConfig& config, u64 seed) {
+  const unsigned n = config.num_replicas;
   constexpr unsigned kCycles = 2000;
   constexpr unsigned kSnapshotCycle = 900;
-  const GroupStreams s = scripted_group_streams(n, gcase.seed * 0xD1B54A32D192ED03ULL, kCycles);
+  const GroupStreams s = scripted_group_streams(n, seed * 0xD1B54A32D192ED03ULL, kCycles);
   const std::vector<const core::CoreTapFrame*> bases = s.bases();
 
   SafeDm ref(config);  // per-cycle group delivery
@@ -255,7 +252,7 @@ TEST_P(GroupBatchedEquivalence, MatrixCountersAndStateMatchPerCycleDelivery) {
 
   SafeDm restored(config);  // picks up from bat's mid-stream snapshot
   bool restored_active = false;
-  Xoshiro256 chunk_rng(gcase.seed ^ 0x9A0B);
+  Xoshiro256 chunk_rng(seed ^ 0x9A0B);
   unsigned delivered = 0;
   std::vector<const core::CoreTapFrame*> frames(n);
   while (delivered < kCycles) {
@@ -299,8 +296,37 @@ TEST_P(GroupBatchedEquivalence, MatrixCountersAndStateMatchPerCycleDelivery) {
   EXPECT_EQ(want, monitor_bytes(restored));
 }
 
+class GroupBatchedEquivalence : public ::testing::TestWithParam<GroupCase> {};
+
+TEST_P(GroupBatchedEquivalence, MatrixCountersAndStateMatchPerCycleDelivery) {
+  const GroupCase& gcase = GetParam();
+  SafeDmConfig config = group_config(gcase.replicas);
+  config.compare = gcase.compare;
+  config.track_distance = gcase.track_distance;
+  expect_batched_matches_per_cycle(config, gcase.seed);
+}
+
 INSTANTIATE_TEST_SUITE_P(Sweep, GroupBatchedEquivalence,
                          ::testing::ValuesIn(make_group_cases()), group_case_name);
+
+// Non-power-of-two depths on the matrix path: the evicted ring slot is not
+// the one written, which the CRC-mode rolling registers must track.
+TEST(GroupBatchedOddDepth, MatrixCountersAndStateMatchPerCycleDelivery) {
+  u64 seed = 101;
+  for (const unsigned depth : {3u, 12u}) {
+    for (const unsigned replicas : {3u, 4u}) {
+      for (const CompareMode compare : {CompareMode::kRaw, CompareMode::kCrc32}) {
+        SafeDmConfig config = group_config(replicas);
+        config.data_fifo_depth = depth;
+        config.compare = compare;
+        SCOPED_TRACE("depth " + std::to_string(depth) + " replicas " +
+                     std::to_string(replicas) +
+                     (compare == CompareMode::kCrc32 ? " crc" : " raw"));
+        expect_batched_matches_per_cycle(config, seed++);
+      }
+    }
+  }
+}
 
 // ---- 3. verdict-policy lowering identities ---------------------------------
 

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "safedm/common/state.hpp"
+
 namespace safedm::monitor {
 namespace {
 
@@ -202,6 +207,42 @@ TEST(SafeDm, ApbControlWrites) {
   EXPECT_FALSE(dm.interrupt_pending());
   dm.apb_write(reg::kCtrl, 1u | (1u << 3));  // reset counters
   EXPECT_EQ(dm.apb_read(reg::kNodivLo), 0u);
+}
+
+TEST(SafeDm, ApbCtrlReservedReportModeLeavesModeUnchanged) {
+  SafeDmConfig c = cfg();
+  c.start_enabled = false;
+  c.report = ReportMode::kInterruptThreshold;
+  SafeDm dm(c);
+  dm.apb_write(reg::kCtrl, 1u | (3u << 1));
+  EXPECT_TRUE(dm.enabled());  // the write's other fields still land
+  EXPECT_EQ(dm.config().report, ReportMode::kInterruptThreshold);
+  EXPECT_EQ((dm.apb_read(reg::kCtrl) >> 1) & 3u,
+            static_cast<u32>(ReportMode::kInterruptThreshold));
+}
+
+TEST(SafeDm, RestoreRejectsOutOfRangeReportMode) {
+  SafeDm dm(cfg());
+  StateWriter w;
+  dm.save_state(w);
+  std::vector<u8> bytes = std::move(w).take();
+  // Stream magic (8) + SFDM section header (16) + num_replicas (4).
+  constexpr std::size_t kReportByte = 8 + 16 + 4;
+  ASSERT_EQ(bytes[kReportByte], static_cast<u8>(ReportMode::kPollOnly));
+  bytes[kReportByte] = 3;
+  SafeDmConfig c = cfg();
+  c.report = ReportMode::kInterruptFirst;
+  SafeDm target(c);
+  StateReader r(bytes);
+  try {
+    target.restore_state(r);
+    FAIL() << "restore accepted report mode 3";
+  } catch (const StateError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("report mode 3"), std::string::npos) << what;
+    EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+  }
+  EXPECT_EQ(target.config().report, ReportMode::kInterruptFirst);
 }
 
 TEST(SafeDm, ApbHistogramReadout) {

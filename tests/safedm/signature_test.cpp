@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "safedm/common/check.hpp"
+#include "safedm/common/rng.hpp"
+#include "safedm/common/state.hpp"
 
 namespace safedm::monitor {
 namespace {
@@ -148,6 +153,49 @@ TEST(SignatureGenerator, CrcMatchesRawVerdictOnSimpleCases) {
   b.capture(frame_with_port(0, 2));
   a.capture(frame_with_port(0, 3));
   EXPECT_NE(a.data_crc(), b.data_crc());
+}
+
+core::CoreTapFrame random_ports(Xoshiro256& rng) {
+  core::CoreTapFrame f;
+  for (unsigned p = 0; p < core::kMaxPorts; ++p)
+    f.port[p] = core::PortTap{rng.chance(0.5), rng.below(4)};
+  f.hold = rng.chance(0.2);
+  return f;
+}
+
+TEST(SignatureGenerator, RollingDataCrcMatchesExhaustiveEveryCycle) {
+  // The per-port rolling registers must equal a from-scratch hash of the
+  // window after every capture: at non-power-of-two depths (the evicted
+  // slot is not the one written), across a reset, and after a restore into
+  // a generator whose registers held a different history.
+  for (const unsigned depth : {1u, 3u, 5u, 8u, 12u, 64u}) {
+    for (const unsigned ports : {1u, 4u}) {
+      SafeDmConfig config = cfg(depth, ports);
+      config.compare = CompareMode::kCrc32;
+      SignatureGenerator sig(config), restored(config);
+      Xoshiro256 rng(depth * 31 + ports);
+      const std::string where = "depth " + std::to_string(depth) + " ports " + std::to_string(ports);
+      ASSERT_EQ(sig.data_crc(), sig.data_crc_exhaustive()) << where;
+      for (int cycle = 0; cycle < 600; ++cycle) {
+        const core::CoreTapFrame f = random_ports(rng);
+        sig.capture(f);
+        if (cycle < 400) restored.capture(random_ports(rng));  // a different history
+        if (cycle == 200) sig.reset();
+        if (cycle == 400) {
+          StateWriter w;
+          sig.save_state(w);
+          const std::vector<u8> bytes = std::move(w).take();
+          StateReader r(bytes);
+          restored.restore_state(r);
+        }
+        if (cycle > 400) restored.capture(f);
+        ASSERT_EQ(sig.data_crc(), sig.data_crc_exhaustive()) << where << " cycle " << cycle;
+        if (cycle >= 400) {
+          ASSERT_EQ(restored.data_crc(), sig.data_crc()) << where << " cycle " << cycle;
+        }
+      }
+    }
+  }
 }
 
 TEST(SignatureGenerator, SignatureBitCounts) {
