@@ -5,7 +5,7 @@
 #                      gates (sanitizer overhead makes wall-clock assertions
 #                      meaningless; all label filtering is ctest -L based —
 #                      see tests/CMakeLists.txt for the label scheme),
-#                      then the analyze stage below
+#                      then the analyze and e2e stages below
 #   ./ci.sh analyze    cross-TU static analysis: safedm-lint v2 over src/ +
 #                      bench/ (driven by the CMake-exported
 #                      compile_commands.json — lock-discipline, layering DAG,
@@ -173,6 +173,7 @@ case "${STAGE}" in
   all)
     run_default_and_san
     run_analyze
+    run_e2e
     ;;
   analyze | lint) run_analyze ;;
   perf) run_perf ;;

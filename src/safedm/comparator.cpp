@@ -22,7 +22,9 @@ DiversityComparator::DiversityComparator(const SignatureGenerator& a,
       crc_mode_(a.config().compare == CompareMode::kCrc32),
       raw_perstage_(a.config().compare != CompareMode::kCrc32 &&
                     a.config().is_mode == IsMode::kPerStage),
-      mask_words_((a.config().data_fifo_depth + 63u) / 64u) {
+      mask_words_((a.config().data_fifo_depth + 63u) / 64u),
+      stage_equal_(simd::words_equal_fixed_fn<SignatureGenerator::kStageSlots>(
+          simd::active_kernel())) {
   SAFEDM_CHECK_MSG(a.config().num_ports == b.config().num_ports &&
                        a.config().data_fifo_depth == b.config().data_fifo_depth &&
                        a.config().is_mode == b.config().is_mode,

@@ -97,17 +97,14 @@ class DiversityComparator {
       ++stats_.realign_scans;
     }
 
-    // IS verdict. Raw per-stage mode: one flat word compare of the packed
-    // snapshots, every cycle — cheaper than tracking whether they changed.
+    // IS verdict. Raw per-stage mode: one compare of the packed snapshots
+    // with the dispatched fixed-count SIMD kernel (the one the batched
+    // chunk kernel uses), every cycle — cheaper than tracking whether they
+    // changed.
     // Other modes gate the (CRC / flat-list) recompute on the generators'
     // stage versions so held pipelines reuse the verdict.
     if (raw_perstage_) {
-      // Branchless xor-reduce beats a library memcmp at this size.
-      const SignatureGenerator::PackedStages& pa = a_->packed_stages();
-      const SignatureGenerator::PackedStages& pb = b_->packed_stages();
-      u64 diff = 0;
-      for (unsigned k = 0; k < SignatureGenerator::kStageSlots; ++k) diff |= pa[k] ^ pb[k];
-      is_match_ = diff == 0;
+      is_match_ = stage_equal_(a_->packed_stages().data(), b_->packed_stages().data());
       ++stats_.is_recomputes;
     } else {
       const u64 va = a_->stage_version();
@@ -229,6 +226,8 @@ class DiversityComparator {
   bool crc_mode_;       // lint: no-snapshot(generator config, derived)
   bool raw_perstage_;   // lint: no-snapshot(raw compare + per-stage IS verdict inlines, derived)
   unsigned mask_words_; // lint: no-snapshot(ceil(depth/64), derived)
+  // lint: no-snapshot(the dispatched fixed-count stage compare, resolved at construction)
+  simd::WordsEqualFixedFn stage_equal_;
 
   // bit i of word i/64: logical pos i differs; ports_ x mask_words_,
   // port-major. Empty in CRC mode.

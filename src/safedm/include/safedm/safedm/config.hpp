@@ -46,8 +46,8 @@ enum class VerdictPolicy : u8 {
 struct SafeDmConfig {
   /// Replicas monitored together (a redundancy group); the monitor keeps
   /// one signature generator per replica and one diversity comparator per
-  /// unordered replica pair. 2 is the paper's pairwise monitor and keeps
-  /// its exact legacy semantics and hot path.
+  /// unordered replica pair. 2 is the paper's pairwise monitor: the
+  /// one-pair case of the same matrix.
   unsigned num_replicas = 2;
   VerdictPolicy policy = VerdictPolicy::kAnyPair;
   unsigned quorum_k = 1;  // for kQuorum: pairs that must match, 1..C(n,2)

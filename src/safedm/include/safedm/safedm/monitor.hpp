@@ -7,13 +7,15 @@
 // diversity sources), never false negatives (paper III-A): if any monitored
 // state differs, the cycle is diverse.
 //
-// Beyond the paper's two-core monitor, one SafeDm instance can watch an
-// N-replica redundancy group (2..8): it then keeps a full pairwise
-// diversity matrix — one DiversityComparator and one PairCounters cell per
-// unordered replica pair — and lowers a group VerdictPolicy (any_pair /
-// all_pairs / quorum k) to a threshold over the per-pair verdicts for the
-// group-level counters, histograms, and interrupt. N == 2 is bit-exact
-// with (and as fast as) the original pairwise monitor.
+// One SafeDm instance watches an N-replica redundancy group (2..8): it
+// keeps a full pairwise diversity matrix — one DiversityComparator and one
+// PairCounters cell per unordered replica pair — and lowers a group
+// VerdictPolicy (any_pair / all_pairs / quorum k) to a threshold over the
+// per-pair verdicts for the group-level counters, histograms, and
+// interrupt. The paper's two-core monitor is the one-pair case of that
+// matrix: every replica count runs the same per-cycle path and the same
+// batched chunk kernel, each specialized at compile time on the replica
+// count (2 or runtime), the port count and the compare mode.
 //
 // The block also contains the two evaluation-support modules of the
 // paper's integration (Fig. 4): the Instruction diff (staggering counter)
@@ -42,25 +44,33 @@ class InstructionDiff {
   /// Set the replica count (2..kMaxReplicas); resets all state.
   void configure(unsigned n_replicas);
   void set_ignore(unsigned replica, u64 count);
+  /// Per-cycle step: one commit count per replica. Returns armed() after
+  /// the step.
+  bool on_commits_n(const unsigned* commits, unsigned n_replicas) {
+    u64 pending = 0;
+    for (unsigned r = 0; r < n_replicas; ++r) pending |= ignore_[r];
+    if (pending == 0) {  // steady state: no prelude left
+      for (unsigned r = 0; r < n_replicas; ++r) cum_[r] += commits[r];
+      return true;
+    }
+    on_commits_prelude_n(commits, n_replicas);
+    return armed();
+  }
+  /// The two-replica form of on_commits_n.
   void on_commits(unsigned commits0, unsigned commits1) {
     if ((ignore_[0] | ignore_[1]) == 0) {  // steady state: no prelude left
       cum_[0] += commits0;
       cum_[1] += commits1;
       return;
     }
-    on_commits_prelude(commits0, commits1);
+    const unsigned commits[2] = {commits0, commits1};
+    on_commits_prelude_n(commits, 2);
   }
-  /// N-replica per-cycle path: one commit count per replica.
-  void on_commits_n(const unsigned* commits, unsigned n_replicas);
   void reset();
 
   /// Batched path: fold a chunk's per-replica commit sums in. Only legal
   /// once armed (no prelude left), which the batch eligibility check
   /// guarantees.
-  void batch_commit(u64 add0, u64 add1) {
-    cum_[0] += add0;
-    cum_[1] += add1;
-  }
   void batch_commit_n(const u64* adds, unsigned n_replicas);
 
   i64 diff() const { return pair_diff(0, 1); }
@@ -81,7 +91,7 @@ class InstructionDiff {
   void restore_state(StateReader& r);
 
  private:
-  void on_commits_prelude(unsigned commits0, unsigned commits1);
+  void on_commits_prelude_n(const unsigned* commits, unsigned n_replicas);
 
   unsigned n_ = 2;
   std::array<u64, kMaxReplicas> cum_{};
@@ -110,7 +120,7 @@ struct SafeDmCounters {
 
 /// One cell of the pairwise diversity matrix: the per-pair slice of the
 /// group counters. For a 2-replica monitor the single pair *is* the group,
-/// so these equal the corresponding SafeDmCounters fields.
+/// so its cell counts the same cycles as the SafeDmCounters fields.
 struct PairCounters {
   u64 nodiv_cycles = 0;
   u64 ds_match_cycles = 0;
@@ -173,31 +183,33 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   void set_interrupt_handler(std::function<void(u64 cycle)> handler);
 
   // ---- observation ---------------------------------------------------------
+  /// Pair delivery (2-replica monitors): on_group_cycle with the two
+  /// frames as the group.
   void on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
                 const core::CoreTapFrame& frame1) override;
 
-  /// Batched delivery (MpSoc observer_batch > 1, or direct driving from
-  /// benches): processes `n` consecutive cycles with per-cycle semantics —
-  /// the verdict stream, counters, histograms, IRQ timing, and snapshot
-  /// bytes are bit-identical to n on_cycle calls, independent of batch
-  /// boundaries. Eligible spans (incremental per-stage mode, raw or CRC
-  /// compare, depth <= 64, enabled + armed, no halted frames) run a
-  /// chunked fast loop and commit generator/comparator/counter state once
-  /// per chunk; everything else falls back to on_cycle. Raw compare
-  /// compares stage words via one SIMD op and updates the bit-sliced
-  /// mismatch masks in place; CRC compare rolls each port's window CRC
-  /// and rehashes a replica's IS CRC only when its stage words change.
+  /// Batched pair delivery: on_group_cycles for a 2-replica monitor.
   void on_cycles(u64 first_cycle, const core::CoreTapFrame* frame0,
                  const core::CoreTapFrame* frame1, unsigned n) override;
 
-  /// N-replica group delivery (config.num_replicas > 2; 2-replica groups
-  /// forward to the pairwise hooks above, so the paper's monitor keeps its
-  /// exact legacy hot path). Updates every cell of the pairwise diversity
-  /// matrix, then lowers the configured VerdictPolicy to a threshold over
-  /// the per-pair verdicts for the group counters/histograms/IRQ.
+  /// Group delivery, one cycle (the pair hooks above forward here). Updates
+  /// every cell of the pairwise diversity matrix, then lowers the
+  /// configured VerdictPolicy to a threshold over the per-pair verdicts for
+  /// the group counters/histograms/IRQ.
   void on_group_cycle(u64 cycle, const core::CoreTapFrame* const* frames,
                       unsigned n_replicas) override;
-  /// Batched group delivery: per-cycle-exact, like on_cycles.
+  /// Batched group delivery (MpSoc observer_batch > 1, or direct driving
+  /// from benches): processes `n_cycles` consecutive cycles with per-cycle
+  /// semantics — the verdict stream, counters, histograms, IRQ timing, and
+  /// snapshot bytes are bit-identical to n_cycles on_group_cycle calls,
+  /// independent of batch boundaries. Eligible spans (incremental
+  /// per-stage mode, raw or CRC compare, depth <= 64, enabled + armed, no
+  /// halted frames) run a chunked fast loop and commit
+  /// generator/comparator/counter state once per chunk; everything else
+  /// falls back to the per-cycle path. Raw compare compares stage words via
+  /// one SIMD op and updates the bit-sliced mismatch masks in place; CRC
+  /// compare rolls each port's window CRC and rehashes a replica's IS CRC
+  /// only when its stage words change.
   void on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
                        unsigned n_replicas, unsigned n_cycles) override;
 
@@ -224,8 +236,6 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   const Histogram& distance_history() const { return hist_distance_; }
   const SafeDmConfig& config() const { return config_; }
   const SignatureGenerator& signatures(unsigned replica) const;
-  /// Incremental-comparator fast-path/fallback accounting (pair 0).
-  const DiversityComparator::Stats& comparator_stats() const { return pairs_[0].stats(); }
 
   // ---- pairwise diversity matrix ----------------------------------------
   unsigned num_replicas() const { return config_.num_replicas; }
@@ -233,9 +243,8 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   /// Replica indices (i, j), i < j, of matrix cell `pair`; cells are in
   /// lexicographic order: (0,1), (0,2), ..., (n-2,n-1).
   std::pair<unsigned, unsigned> pair_replicas(unsigned pair) const;
-  /// Matrix cell counters. For 2-replica monitors the single pair is the
-  /// group, so the cell is synthesized from the group counters.
-  PairCounters pair_counters(unsigned pair) const;
+  /// Matrix cell counters (every replica count keeps one cell per pair).
+  const PairCounters& pair_counters(unsigned pair) const;
   /// Per-pair fast-path/fallback accounting.
   const DiversityComparator::Stats& pair_stats(unsigned pair) const;
   /// The lowered verdict-policy threshold: matched pairs needed for a
@@ -251,31 +260,48 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   void apb_write(u32 offset, u32 value) override;
 
   // ---- snapshot/restore --------------------------------------------------------
-  /// Serializes everything on_cycle/apb_write can mutate — including the
-  /// runtime-writable config bits (report mode, interrupt threshold) —
-  /// plus both signature generators, the comparator, counters, episode
-  /// runs, and histograms. The interrupt handler is a binding, not state:
-  /// the owner re-attaches it after restore if needed.
+  /// Serializes everything the delivery hooks and apb_write can mutate —
+  /// including the runtime-writable config bits (report mode, interrupt
+  /// threshold) — plus every signature generator, comparator, matrix cell,
+  /// counter, episode run, and histogram. The group shape (replica count
+  /// and lowered verdict threshold) leads the section: a snapshot restores
+  /// only into a monitor of the same shape. The interrupt handler is a
+  /// binding, not state: the owner re-attaches it after restore if needed.
   void save_state(StateWriter& w) const;
   void restore_state(StateReader& r);
 
  private:
+  using CycleFn = void (SafeDm::*)(u64, const core::CoreTapFrame* const*);
+  using ChunkFn = unsigned (SafeDm::*)(u64, const core::CoreTapFrame* const*, unsigned);
+
+  /// The nodiv count at which the interrupt line rises: never while it is
+  /// pending or in poll-only mode.
+  u64 irq_threshold() const;
+  /// Raise the interrupt (and call the handler) if the count has reached
+  /// irq_threshold().
   void update_interrupt(u64 cycle);
   bool batch_fast_eligible() const;
-  void process_chunk(u64 first_cycle, const core::CoreTapFrame* frame0,
-                     const core::CoreTapFrame* frame1, unsigned m);
-  /// Chunk loop body with the port count (P == 0: runtime count) and the
-  /// compare mode baked in. process_chunk dispatches on config_ so the raw
-  /// per-cycle port loops fully unroll; defined in monitor.cpp (only
-  /// instantiated there).
-  template <unsigned P, bool kCrc>
-  void process_chunk_ports(u64 first_cycle, const core::CoreTapFrame* frame0,
-                           const core::CoreTapFrame* frame1, unsigned m);
-  /// N > 2 per-cycle matrix update (the group analogue of on_cycle's body).
+  /// The batched span loop behind on_cycles/on_group_cycles: eligible
+  /// spans go through the chunk kernel, every other cycle through the
+  /// per-cycle path.
+  void deliver(u64 first_cycle, const core::CoreTapFrame* const* frames, unsigned n_cycles);
+  /// The per-cycle matrix update. N bakes the replica count in at compile
+  /// time (0: the runtime count) so the pair's replica and pair loops have
+  /// constant trip counts.
+  template <unsigned N>
   void group_cycle(u64 cycle, const core::CoreTapFrame* const* frames);
-  /// N > 2 batched chunk (the group analogue of process_chunk).
-  void process_group_chunk(u64 first_cycle, const core::CoreTapFrame* const* frames,
-                           unsigned offset, unsigned m);
+  /// The batched chunk kernel: up to `m` (<= 64) eligible cycles, frames[r]
+  /// pointing at replica r's first. Stops before a halted frame and after a
+  /// cycle that raises the interrupt; returns the cycles consumed (0 when
+  /// the first frame is halted). N as for group_cycle; P bakes
+  /// the port count in (0: the runtime count) so the ring writes and mask
+  /// updates unroll; kCrc selects the compare mode. Defined (and only
+  /// instantiated) in monitor.cpp.
+  template <unsigned N, unsigned P, bool kCrc>
+  unsigned process_chunk(u64 first_cycle, const core::CoreTapFrame* const* frames, unsigned m);
+  /// The chunk kernel instantiation for `config` at replica count N.
+  template <unsigned N>
+  static ChunkFn chunk_kernel(const SafeDmConfig& config);
 
   SafeDmConfig config_;
   /// One generator per replica, one comparator per unordered replica pair
@@ -284,9 +310,13 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   std::vector<SignatureGenerator> sigs_;
   std::vector<DiversityComparator> pairs_;
   std::vector<std::pair<u8, u8>> pair_replicas_;  // lint: no-snapshot(derived from num_replicas)
-  unsigned needed_ = 1;  // lint: no-snapshot(lowered verdict policy, derived from config)
-  /// Matrix cell counters, N > 2 only (for pairs the group counters serve).
+  /// The lowered verdict policy, derived from config; serialized as part of
+  /// the group shape a snapshot must match.
+  unsigned needed_ = 1;
+  /// Matrix cell counters, one per pair (lexicographic order, as pairs_).
   std::vector<PairCounters> pair_counters_;
+  CycleFn cycle_fn_ = nullptr;  // lint: no-snapshot(kernel choice, fixed by config at construction)
+  ChunkFn chunk_fn_ = nullptr;  // lint: no-snapshot(kernel choice, fixed by config at construction)
   InstructionDiff inst_diff_;
   bool enabled_ = false;
   std::array<bool, kMaxReplicas> seen_commit_{};

@@ -67,11 +67,17 @@ class SignatureGenerator {
     // signal is used to not overwrite any values in the FIFOs if the
     // pipeline is stalled").
     if (frame.hold) return false;
+    // Plane pointers and geometry in locals: the enable-byte stores may
+    // alias any member, which would otherwise be reloaded per port.
+    u64* const values = values_.data();
+    u8* const enables = enables_.data();
+    const unsigned ports = config_.num_ports;
+    const unsigned stride = padded_depth_;
     const unsigned slot = static_cast<unsigned>(shifts_) & depth_mask_;
-    for (unsigned p = 0; p < config_.num_ports; ++p) {
-      const unsigned idx = p * padded_depth_ + slot;
-      values_[idx] = frame.port[p].value;
-      enables_[idx] = frame.port[p].enable ? u8{1} : u8{0};
+    for (unsigned p = 0; p < ports; ++p) {
+      const unsigned idx = p * stride + slot;
+      values[idx] = frame.port[p].value;
+      enables[idx] = frame.port[p].enable ? u8{1} : u8{0};
     }
     if (crc_mode_) shift_crc(shifts_, frame);
     ++shifts_;

@@ -1,8 +1,11 @@
 #include "safedm/safedm/monitor.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "safedm/common/check.hpp"
 #include "safedm/common/state.hpp"
@@ -30,7 +33,7 @@ void InstructionDiff::set_ignore(unsigned replica, u64 count) {
   ignore_[replica] = count;
 }
 
-void InstructionDiff::on_commits_n(const unsigned* commits, unsigned n_replicas) {
+void InstructionDiff::on_commits_prelude_n(const unsigned* commits, unsigned n_replicas) {
   SAFEDM_CHECK(n_replicas == n_);
   for (unsigned r = 0; r < n_replicas; ++r) {
     u64 c = commits[r];
@@ -41,11 +44,6 @@ void InstructionDiff::on_commits_n(const unsigned* commits, unsigned n_replicas)
     }
     cum_[r] += c;
   }
-}
-
-void InstructionDiff::on_commits_prelude(unsigned commits0, unsigned commits1) {
-  const unsigned commits[2] = {commits0, commits1};
-  on_commits_n(commits, 2);
 }
 
 void InstructionDiff::batch_commit_n(const u64* adds, unsigned n_replicas) {
@@ -62,7 +60,34 @@ void InstructionDiff::reset() {
 
 namespace {
 
-unsigned pairs_for(unsigned n_replicas) { return n_replicas * (n_replicas - 1) / 2; }
+constexpr unsigned pairs_for(unsigned n_replicas) { return n_replicas * (n_replicas - 1) / 2; }
+
+/// Matrix cells of a compile-time replica count, in pair_replicas() order.
+template <unsigned N>
+constexpr std::array<std::pair<u8, u8>, pairs_for(N)> kCells = [] {
+  std::array<std::pair<u8, u8>, pairs_for(N)> cells{};
+  unsigned p = 0;
+  for (unsigned i = 0; i < N; ++i)
+    for (unsigned j = i + 1; j < N; ++j) cells[p++] = {static_cast<u8>(i), static_cast<u8>(j)};
+  return cells;
+}();
+
+/// Replica indices of matrix cell `p`: from the constant table when the
+/// replica count is baked in (N != 0), else from the monitor's own.
+template <unsigned N>
+std::pair<unsigned, unsigned> cell_replicas(const std::vector<std::pair<u8, u8>>& cells,
+                                            unsigned p) {
+  if constexpr (N != 0) return {kCells<N>[p].first, kCells<N>[p].second};
+  else return {cells[p].first, cells[p].second};
+}
+
+/// The lowered verdict threshold as a kernel sees it: a one-pair matrix can
+/// only need its one pair, which lets the compiler fold the group verdicts
+/// onto the pair's.
+template <unsigned N>
+unsigned pairs_needed(unsigned needed) {
+  return pairs_for(N) == 1 ? 1 : needed;
+}
 
 /// CRC-mode IS verdict of one pair: equal stage words hash equal, so only
 /// differing pipelines pay for their memoized CRCs (which may still
@@ -90,6 +115,18 @@ unsigned lower_policy(const SafeDmConfig& config) {
   return 1;
 }
 
+/// One episode-tracking step: count a matched cycle and extend its run, or
+/// close the open run into the history histogram.
+void track(bool condition, u64& run, u64& counter, Histogram& hist) {
+  if (condition) {
+    ++counter;
+    ++run;
+  } else if (run > 0) {
+    hist.add(run);
+    run = 0;
+  }
+}
+
 }  // namespace
 
 SafeDm::SafeDm(const SafeDmConfig& config)
@@ -115,8 +152,34 @@ SafeDm::SafeDm(const SafeDmConfig& config)
       pair_replicas_.emplace_back(static_cast<u8>(i), static_cast<u8>(j));
     }
   }
-  if (n > 2) pair_counters_.resize(n_pairs);
+  pair_counters_.resize(n_pairs);
   inst_diff_.configure(n);
+  // The paper's pair gets kernels with the replica count baked in; larger
+  // groups share the runtime-count ones.
+  cycle_fn_ = n == 2 ? &SafeDm::group_cycle<2> : &SafeDm::group_cycle<0>;
+  chunk_fn_ = n == 2 ? chunk_kernel<2>(config) : chunk_kernel<0>(config);
+}
+
+template <unsigned N>
+SafeDm::ChunkFn SafeDm::chunk_kernel(const SafeDmConfig& config) {
+  // The port count is baked in so the per-cycle port loops (ring-plane
+  // writes + mask shift/insert) run with a constant trip count and fully
+  // unroll. P == 0 is the runtime-count fallback; num_ports is validated
+  // at construction so the default arm is unreachable in practice, but
+  // keeps larger geometries correct if the bound ever grows. CRC compare
+  // runs the runtime-count body: its per-port work is table lookups that
+  // unrolling does not speed up, and the raw instantiations stay free of
+  // CRC branches.
+  if (config.compare == CompareMode::kCrc32) return &SafeDm::process_chunk<N, 0, true>;
+  switch (config.num_ports) {
+    case 1: return &SafeDm::process_chunk<N, 1, false>;
+    case 2: return &SafeDm::process_chunk<N, 2, false>;
+    case 3: return &SafeDm::process_chunk<N, 3, false>;
+    case 4: return &SafeDm::process_chunk<N, 4, false>;
+    case 5: return &SafeDm::process_chunk<N, 5, false>;
+    case 6: return &SafeDm::process_chunk<N, 6, false>;
+    default: return &SafeDm::process_chunk<N, 0, false>;
+  }
 }
 
 void SafeDm::enable(bool on) { enabled_ = on; }
@@ -157,21 +220,8 @@ std::pair<unsigned, unsigned> SafeDm::pair_replicas(unsigned pair) const {
   return {pair_replicas_[pair].first, pair_replicas_[pair].second};
 }
 
-PairCounters SafeDm::pair_counters(unsigned pair) const {
-  SAFEDM_CHECK(pair < pairs_.size());
-  if (config_.num_replicas == 2) {
-    // The single pair is the group: synthesize the cell from the group
-    // counters rather than paying a second set of hot-path increments.
-    PairCounters pc;
-    pc.nodiv_cycles = counters_.nodiv_cycles;
-    pc.ds_match_cycles = counters_.ds_match_cycles;
-    pc.is_match_cycles = counters_.is_match_cycles;
-    pc.zero_stag_cycles = counters_.zero_stag_cycles;
-    pc.distance_sum = counters_.distance_sum;
-    pc.distance_min = counters_.distance_min;
-    pc.distance_max = counters_.distance_max;
-    return pc;
-  }
+const PairCounters& SafeDm::pair_counters(unsigned pair) const {
+  SAFEDM_CHECK(pair < pair_counters_.size());
   return pair_counters_[pair];
 }
 
@@ -185,85 +235,43 @@ u64 SafeDm::storage_bits() const {
          (sigs_[0].data_signature_bits() + sigs_[0].instruction_signature_bits());
 }
 
+// ---- delivery -----------------------------------------------------------------
+
 void SafeDm::on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
                       const core::CoreTapFrame& frame1) {
   SAFEDM_CHECK_MSG(config_.num_replicas == 2,
                    "pairwise delivery on an N-replica monitor; use on_group_cycle");
-  // The signature FIFOs clock continuously (hardware is never "off"); only
-  // the counting/reporting logic is gated by the enable bit. The comparator
-  // likewise tracks every cycle so its bookkeeping stays aligned with the
-  // FIFOs across enable/arm transitions.
-  sigs_[0].capture(frame0);
-  sigs_[1].capture(frame1);
-  if (config_.incremental_compare) pairs_[0].update();
-  inst_diff_.on_commits(frame0.commits, frame1.commits);
+  const core::CoreTapFrame* frames[2] = {&frame0, &frame1};
+  group_cycle<2>(cycle, frames);
+}
 
-  seen_commit_[0] = seen_commit_[0] || frame0.commits > 0;
-  seen_commit_[1] = seen_commit_[1] || frame1.commits > 0;
-  const bool armed = !config_.arm_on_first_commit || (seen_commit_[0] && seen_commit_[1]);
+void SafeDm::on_cycles(u64 first_cycle, const core::CoreTapFrame* frame0,
+                       const core::CoreTapFrame* frame1, unsigned n) {
+  SAFEDM_CHECK_MSG(config_.num_replicas == 2,
+                   "pairwise delivery on an N-replica monitor; use on_group_cycles");
+  const core::CoreTapFrame* frames[2] = {frame0, frame1};
+  deliver(first_cycle, frames, n);
+}
 
-  const bool both_running = !frame0.halted && !frame1.halted;
-  if (!enabled_ || !both_running || !armed) {
-    lacking_now_ = false;
-    ds_match_now_ = false;
-    is_match_now_ = false;
-    if (trail_) trail_->push_back(false);
-    return;
-  }
+void SafeDm::on_group_cycle(u64 cycle, const core::CoreTapFrame* const* frames,
+                            unsigned n_replicas) {
+  SAFEDM_CHECK_MSG(n_replicas == config_.num_replicas,
+                   "group delivery width != configured num_replicas");
+  (this->*cycle_fn_)(cycle, frames);
+}
 
-  ++counters_.monitored_cycles;
-
-  bool ds_match = false;
-  bool is_match = false;
-  if (config_.incremental_compare) {
-    ds_match = pairs_[0].ds_match();
-    is_match = pairs_[0].is_match();
-  } else if (config_.compare == CompareMode::kRaw) {
-    ds_match = SignatureGenerator::data_equal(sigs_[0], sigs_[1]);
-    is_match = SignatureGenerator::instruction_equal(sigs_[0], sigs_[1]);
-  } else {
-    ds_match = sigs_[0].data_crc_exhaustive() == sigs_[1].data_crc_exhaustive();
-    is_match = sigs_[0].instruction_crc_exhaustive() == sigs_[1].instruction_crc_exhaustive();
-  }
-
-  const bool nodiv = ds_match && is_match;
-  lacking_now_ = nodiv;
-  ds_match_now_ = ds_match;
-  is_match_now_ = is_match;
-
-  const auto track = [](bool condition, u64& run, u64& counter, Histogram& hist) {
-    if (condition) {
-      ++counter;
-      ++run;
-    } else if (run > 0) {
-      hist.add(run);
-      run = 0;
-    }
-  };
-  track(ds_match, ds_run_, counters_.ds_match_cycles, hist_ds_);
-  track(is_match, is_run_, counters_.is_match_cycles, hist_is_);
-  track(nodiv, nodiv_run_, counters_.nodiv_cycles, hist_nodiv_);
-
-  if (inst_diff_.armed() && inst_diff_.diff() == 0) ++counters_.zero_stag_cycles;
-
-  if (config_.track_distance) {
-    const u64 distance = SignatureGenerator::data_distance(sigs_[0], sigs_[1]) +
-                         SignatureGenerator::instruction_distance(sigs_[0], sigs_[1]);
-    counters_.distance_sum += distance;
-    counters_.distance_min = std::min(counters_.distance_min, distance);
-    counters_.distance_max = std::max(counters_.distance_max, distance);
-    hist_distance_.add(distance);
-  }
-
-  update_interrupt(cycle);
-  if (trail_) trail_->push_back(lacking_now_);
+void SafeDm::on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                             unsigned n_replicas, unsigned n_cycles) {
+  SAFEDM_CHECK_MSG(n_replicas == config_.num_replicas,
+                   "group delivery width != configured num_replicas");
+  deliver(first_cycle, frames, n_cycles);
 }
 
 bool SafeDm::batch_fast_eligible() const {
-  // The chunked loop covers incremental per-stage compare, raw or CRC;
+  // The chunk kernel covers incremental per-stage compare, raw or CRC;
   // anything else (flat-list IS, distance tracking, disabled or
-  // not-yet-armed monitor, multi-word masks) falls back to per-cycle
-  // on_cycle, which is always correct.
+  // not-yet-armed monitor, multi-word masks) falls back to the per-cycle
+  // path, which is always correct.
   bool all_seen = true;
   if (config_.arm_on_first_commit) {
     for (unsigned r = 0; r < config_.num_replicas; ++r) all_seen = all_seen && seen_commit_[r];
@@ -273,308 +281,56 @@ bool SafeDm::batch_fast_eligible() const {
          inst_diff_.armed();
 }
 
-void SafeDm::on_cycles(u64 first_cycle, const core::CoreTapFrame* frame0,
-                       const core::CoreTapFrame* frame1, unsigned n) {
-  unsigned i = 0;
-  while (i < n) {
-    // Eligibility can flip mid-batch (arming on first commit, prelude
-    // consumption), so re-check per span; ineligible cycles go one at a
-    // time through the exact per-cycle path.
-    if (!batch_fast_eligible()) {
-      on_cycle(first_cycle + i, frame0[i], frame1[i]);
-      ++i;
-      continue;
-    }
-    // Fast span: consecutive cycles with both cores running. Halted
-    // frames take the per-cycle path (they gate counting but still clock
-    // the signature FIFOs).
-    unsigned j = i;
-    while (j < n && !frame0[j].halted && !frame1[j].halted) ++j;
-    if (j == i) {
-      on_cycle(first_cycle + i, frame0[i], frame1[i]);
-      ++i;
-      continue;
-    }
-    while (i < j) {
-      const unsigned m = std::min(j - i, 64u);
-      process_chunk(first_cycle + i, frame0 + i, frame1 + i, m);
-      i += m;
-    }
-  }
-}
-
-void SafeDm::process_chunk(u64 first_cycle, const core::CoreTapFrame* frame0,
-                           const core::CoreTapFrame* frame1, unsigned m) {
-  // Dispatch once per chunk on the port count so the per-cycle port loops
-  // (ring-plane writes + mask shift/insert) run with a constant trip count
-  // and fully unroll. P == 0 is the runtime-count fallback; num_ports is
-  // validated at construction so the default arm is unreachable in
-  // practice, but keeps larger geometries correct if the bound ever grows.
-  // CRC compare runs the runtime-count body: its per-port work is table
-  // lookups that unrolling does not speed up, and the raw instantiations
-  // stay free of CRC branches.
-  if (config_.compare == CompareMode::kCrc32) {
-    process_chunk_ports<0, true>(first_cycle, frame0, frame1, m);
-    return;
-  }
-  switch (config_.num_ports) {
-    case 1: process_chunk_ports<1, false>(first_cycle, frame0, frame1, m); break;
-    case 2: process_chunk_ports<2, false>(first_cycle, frame0, frame1, m); break;
-    case 3: process_chunk_ports<3, false>(first_cycle, frame0, frame1, m); break;
-    case 4: process_chunk_ports<4, false>(first_cycle, frame0, frame1, m); break;
-    case 5: process_chunk_ports<5, false>(first_cycle, frame0, frame1, m); break;
-    case 6: process_chunk_ports<6, false>(first_cycle, frame0, frame1, m); break;
-    default: process_chunk_ports<0, false>(first_cycle, frame0, frame1, m); break;
-  }
-}
-
-template <unsigned P, bool kCrc>
-void SafeDm::process_chunk_ports(u64 first_cycle, const core::CoreTapFrame* frame0,
-                                 const core::CoreTapFrame* frame1, unsigned m) {
-  // Per-cycle-exact batched hot loop. All accounting below is keyed to
-  // cycle events (never to chunk boundaries), so the committed state —
-  // including snapshot bytes — is independent of how a cycle stream is
-  // chunked. Kernel dispatch, ring-plane pointers, and counter traffic
-  // are hoisted out of the loop; state is committed once at the end.
-  // The stage compare resolves to a fixed-count kernel (kStageSlots baked
-  // in: straight-line vector code, no loop or tail branches).
-  const simd::WordsEqualFixedFn stage_equal =
-      simd::words_equal_fixed_fn<SignatureGenerator::kStageSlots>(simd::active_kernel());
-  constexpr bool crc = kCrc;
-  const unsigned ports = P != 0 ? P : config_.num_ports;
-  const unsigned stride = sigs_[0].padded_depth();
-  const unsigned ring_mask = stride - 1;
-  u64* v0 = sigs_[0].values_mut();
-  u8* e0 = sigs_[0].enables_mut();
-  u64* v1 = sigs_[1].values_mut();
-  u8* e1 = sigs_[1].enables_mut();
-  u64 sa = sigs_[0].shift_count();
-  u64 sb = sigs_[1].shift_count();
-  i64 diff = inst_diff_.diff();
-  u64 add0 = 0, add1 = 0;  // per-replica commit sums for the cumulative counters
-  std::vector<bool>* const trail = trail_;
-  u64 is_recomputes = crc ? 0 : m;
-
-  u64 monitored = 0, nodiv_c = 0, ds_c = 0, is_c = 0, zero_c = 0, holds = 0;
-  u64 nodiv_run = nodiv_run_, ds_run = ds_run_, is_run = is_run_;
-  bool seen0 = seen_commit_[0], seen1 = seen_commit_[1];
-  bool ds_now = ds_match_now_, is_now = is_match_now_, lack_now = lacking_now_;
-
-  // IRQ threshold, precomputed: fire on the exact cycle the nodiv count
-  // reaches it (at most once — the pending latch holds until cleared, and
-  // clearing is an APB/direct call that can't happen mid-chunk).
-  u64 fire_at = ~u64{0};
-  if (!irq_pending_) {
-    if (config_.report == ReportMode::kInterruptFirst) fire_at = 1;
-    else if (config_.report == ReportMode::kInterruptThreshold) fire_at = config_.interrupt_threshold;
-  }
-  // Keep the fire check register-resident: the base only changes inside the
-  // fire branch, which also disarms fire_at, so a stale base is never read.
-  const u64 nodiv_base = counters_.nodiv_cycles;
-
-  const auto write_slot = [&](SignatureGenerator& sig, u64* values, u8* enables, u64 shifts,
-                              const core::CoreTapFrame& f) {
-    const unsigned slot = static_cast<unsigned>(shifts) & ring_mask;
-    for (unsigned p = 0; p < ports; ++p) {
-      const unsigned idx = p * stride + slot;
-      values[idx] = f.port[p].value;
-      enables[idx] = f.port[p].enable ? u8{1} : u8{0};
-    }
-    if (crc) sig.shift_crc(shifts, f);
-  };
-
-  for (unsigned c = 0; c < m; ++c) {
-    const core::CoreTapFrame& a = frame0[c];
-    const core::CoreTapFrame& b = frame1[c];
-
-    bool is_match;
-    if (crc) {
-      const bool changed0 = sigs_[0].observe_stage(&a.stage);
-      const bool changed1 = sigs_[1].observe_stage(&b.stage);
-      if (changed0 || changed1) ++is_recomputes;
-      is_match = stage_crcs_match(sigs_[0], sigs_[1], stage_equal);
-    } else {
-      // IS verdict straight off the frames: the packed generator snapshots
-      // would be byte-identical, so skip the two 112-byte stage copies the
-      // per-cycle path pays and compare once with the dispatched kernel.
-      is_match = stage_equal(&a.stage, &b.stage);
-    }
-
-    bool ds_match;
-    if (!a.hold && !b.hold) {
-      write_slot(sigs_[0], v0, e0, sa, a);
-      write_slot(sigs_[1], v1, e1, sb, b);
-      ++sa;
-      ++sb;
-      ds_match = crc ? pairs_[0].step_crc(true) : pairs_[0].step_shift<P>(a, b);
-    } else if (a.hold && b.hold) {
-      ++holds;
-      ds_match = pairs_[0].ds_match();
-    } else {
-      // Divergent holds: only the un-held core shifts, then realign.
-      if (!a.hold) {
-        write_slot(sigs_[0], v0, e0, sa, a);
-        ++sa;
-      }
-      if (!b.hold) {
-        write_slot(sigs_[1], v1, e1, sb, b);
-        ++sb;
-      }
-      ds_match = crc ? pairs_[0].step_crc(false) : pairs_[0].step_realign(sa, sb);
-    }
-
-    diff += static_cast<i64>(a.commits) - static_cast<i64>(b.commits);
-    add0 += a.commits;
-    add1 += b.commits;
-    seen0 = seen0 || a.commits > 0;
-    seen1 = seen1 || b.commits > 0;
-
-    const bool nodiv = ds_match && is_match;
-    ++monitored;
-    if (ds_match) {
-      ++ds_c;
-      ++ds_run;
-    } else if (ds_run > 0) {
-      hist_ds_.add(ds_run);
-      ds_run = 0;
-    }
-    if (is_match) {
-      ++is_c;
-      ++is_run;
-    } else if (is_run > 0) {
-      hist_is_.add(is_run);
-      is_run = 0;
-    }
-    if (nodiv) {
-      ++nodiv_c;
-      ++nodiv_run;
-    } else if (nodiv_run > 0) {
-      hist_nodiv_.add(nodiv_run);
-      nodiv_run = 0;
-    }
-    if (diff == 0) ++zero_c;
-    ds_now = ds_match;
-    is_now = is_match;
-    lack_now = nodiv;
-    if (trail) trail->push_back(nodiv);
-
-    if (nodiv_base + nodiv_c >= fire_at) {
-      // Commit the scalar state before the handler runs so an RTOS hook
-      // observes counters/flags exactly as the per-cycle path would.
-      // (Generator/comparator internals sync at chunk end; handlers are
-      // not entitled to introspect signature internals mid-cycle.)
-      counters_.monitored_cycles += monitored;
-      counters_.nodiv_cycles += nodiv_c;
-      counters_.ds_match_cycles += ds_c;
-      counters_.is_match_cycles += is_c;
-      counters_.zero_stag_cycles += zero_c;
-      monitored = nodiv_c = ds_c = is_c = zero_c = 0;
-      nodiv_run_ = nodiv_run;
-      ds_run_ = ds_run;
-      is_run_ = is_run;
-      seen_commit_[0] = seen0;
-      seen_commit_[1] = seen1;
-      lacking_now_ = lack_now;
-      ds_match_now_ = ds_now;
-      is_match_now_ = is_now;
-      inst_diff_.batch_commit(add0, add1);
-      add0 = add1 = 0;
-      irq_pending_ = true;
-      ++counters_.interrupts;
-      fire_at = ~u64{0};
-      if (irq_handler_) irq_handler_(first_cycle + c);
-    }
-  }
-
-  counters_.monitored_cycles += monitored;
-  counters_.nodiv_cycles += nodiv_c;
-  counters_.ds_match_cycles += ds_c;
-  counters_.is_match_cycles += is_c;
-  counters_.zero_stag_cycles += zero_c;
-  nodiv_run_ = nodiv_run;
-  ds_run_ = ds_run;
-  is_run_ = is_run;
-  seen_commit_[0] = seen0;
-  seen_commit_[1] = seen1;
-  lacking_now_ = lack_now;
-  ds_match_now_ = ds_now;
-  is_match_now_ = is_now;
-  inst_diff_.batch_commit(add0, add1);
-  sigs_[0].batch_commit(sa, &frame0[m - 1].stage, m);
-  sigs_[1].batch_commit(sb, &frame1[m - 1].stage, m);
-  pairs_[0].batch_commit(holds, is_recomputes, is_now);
-}
-
-// ---- N-replica group paths -----------------------------------------------------
-
-void SafeDm::on_group_cycle(u64 cycle, const core::CoreTapFrame* const* frames,
-                            unsigned n_replicas) {
-  SAFEDM_CHECK_MSG(n_replicas == config_.num_replicas,
-                   "group delivery width != configured num_replicas");
-  if (n_replicas == 2) {
-    on_cycle(cycle, *frames[0], *frames[1]);
-    return;
-  }
-  group_cycle(cycle, frames);
-}
-
-void SafeDm::on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
-                             unsigned n_replicas, unsigned n_cycles) {
-  SAFEDM_CHECK_MSG(n_replicas == config_.num_replicas,
-                   "group delivery width != configured num_replicas");
-  if (n_replicas == 2) {
-    on_cycles(first_cycle, frames[0], frames[1], n_cycles);
-    return;
-  }
-  const unsigned n = n_replicas;
-  unsigned i = 0;
-  const core::CoreTapFrame* cur[kMaxReplicas];
-  while (i < n_cycles) {
-    if (!batch_fast_eligible()) {
-      for (unsigned r = 0; r < n; ++r) cur[r] = frames[r] + i;
-      group_cycle(first_cycle + i, cur);
-      ++i;
-      continue;
-    }
-    // Fast span: consecutive cycles with every replica running.
-    unsigned j = i;
-    for (; j < n_cycles; ++j) {
-      bool any_halted = false;
-      for (unsigned r = 0; r < n; ++r) any_halted = any_halted || frames[r][j].halted;
-      if (any_halted) break;
-    }
-    if (j == i) {
-      for (unsigned r = 0; r < n; ++r) cur[r] = frames[r] + i;
-      group_cycle(first_cycle + i, cur);
-      ++i;
-      continue;
-    }
-    while (i < j) {
-      const unsigned m = std::min(j - i, 64u);
-      process_group_chunk(first_cycle + i, frames, i, m);
-      i += m;
-    }
-  }
-}
-
-void SafeDm::group_cycle(u64 cycle, const core::CoreTapFrame* const* frames) {
+void SafeDm::deliver(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                     unsigned n_cycles) {
   const unsigned n = config_.num_replicas;
-  for (unsigned r = 0; r < n; ++r) sigs_[r].capture(*frames[r]);
-  if (config_.incremental_compare) {
-    for (auto& pair : pairs_) pair.update();
+  const core::CoreTapFrame* cur[kMaxReplicas] = {};
+  unsigned i = 0;
+  while (i < n_cycles) {
+    for (unsigned r = 0; r < n; ++r) cur[r] = frames[r] + i;
+    // Eligibility can flip mid-batch (arming on first commit, prelude
+    // consumption, an IRQ handler's writes), so re-check per chunk. The
+    // chunk kernel stops at a halted frame; that cycle, like an ineligible
+    // one, takes the per-cycle path.
+    unsigned done = 0;
+    if (batch_fast_eligible())
+      done = (this->*chunk_fn_)(first_cycle + i, cur, std::min(n_cycles - i, 64u));
+    if (done == 0) {
+      (this->*cycle_fn_)(first_cycle + i, cur);
+      done = 1;
+    }
+    i += done;
   }
+}
 
+template <unsigned N>
+void SafeDm::group_cycle(u64 cycle, const core::CoreTapFrame* const* frames) {
+  const unsigned n = N != 0 ? N : config_.num_replicas;
+  const unsigned n_pairs = N != 0 ? pairs_for(N) : num_pairs();
+  // The signature FIFOs clock continuously (hardware is never "off"); only
+  // the counting/reporting logic is gated by the enable bit. The
+  // comparators likewise track every cycle so their bookkeeping stays
+  // aligned with the FIFOs across enable/arm transitions.
   unsigned commits[kMaxReplicas] = {};
-  for (unsigned r = 0; r < n; ++r) commits[r] = frames[r]->commits;
-  inst_diff_.on_commits_n(commits, n);
-
   bool all_seen = true;
   bool all_running = true;
+  // -O2 does not unroll a loop whose unrolled body outgrows it. The pragma
+  // fully unrolls the pair's replica loops (N == 2), keeping their
+  // per-replica locals in registers, and unrolls larger groups' by two.
+#pragma GCC unroll 2
   for (unsigned r = 0; r < n; ++r) {
-    seen_commit_[r] = seen_commit_[r] || frames[r]->commits > 0;
+    const core::CoreTapFrame& f = *frames[r];
+    sigs_[r].capture(f);
+    commits[r] = f.commits;
+    seen_commit_[r] = seen_commit_[r] || f.commits > 0;
     all_seen = all_seen && seen_commit_[r];
-    all_running = all_running && !frames[r]->halted;
+    all_running = all_running && !f.halted;
   }
+  if (config_.incremental_compare) {
+    for (unsigned p = 0; p < n_pairs; ++p) pairs_[p].update();
+  }
+  const bool stag_armed = inst_diff_.on_commits_n(commits, n);
+
   const bool armed = !config_.arm_on_first_commit || all_seen;
   if (!enabled_ || !all_running || !armed) {
     lacking_now_ = false;
@@ -586,13 +342,10 @@ void SafeDm::group_cycle(u64 cycle, const core::CoreTapFrame* const* frames) {
 
   ++counters_.monitored_cycles;
 
-  const bool stag_armed = inst_diff_.armed();
-  const unsigned n_pairs = static_cast<unsigned>(pairs_.size());
   unsigned ds_n = 0, is_n = 0, nodiv_n = 0, zero_n = 0;
   u64 group_distance = ~u64{0};
   for (unsigned p = 0; p < n_pairs; ++p) {
-    const unsigned pi = pair_replicas_[p].first;
-    const unsigned pj = pair_replicas_[p].second;
+    const auto [pi, pj] = cell_replicas<N>(pair_replicas_, p);
     bool ds_match;
     bool is_match;
     if (config_.incremental_compare) {
@@ -607,23 +360,16 @@ void SafeDm::group_cycle(u64 cycle, const core::CoreTapFrame* const* frames) {
           sigs_[pi].instruction_crc_exhaustive() == sigs_[pj].instruction_crc_exhaustive();
     }
     const bool nodiv = ds_match && is_match;
+    const bool zero = stag_armed && inst_diff_.pair_diff(pi, pj) == 0;
     PairCounters& pc = pair_counters_[p];
-    if (ds_match) {
-      ++pc.ds_match_cycles;
-      ++ds_n;
-    }
-    if (is_match) {
-      ++pc.is_match_cycles;
-      ++is_n;
-    }
-    if (nodiv) {
-      ++pc.nodiv_cycles;
-      ++nodiv_n;
-    }
-    if (stag_armed && inst_diff_.pair_diff(pi, pj) == 0) {
-      ++pc.zero_stag_cycles;
-      ++zero_n;
-    }
+    pc.nodiv_cycles += nodiv;
+    pc.ds_match_cycles += ds_match;
+    pc.is_match_cycles += is_match;
+    pc.zero_stag_cycles += zero;
+    ds_n += ds_match;
+    is_n += is_match;
+    nodiv_n += nodiv;
+    zero_n += zero;
     if (config_.track_distance) {
       const u64 distance = SignatureGenerator::data_distance(sigs_[pi], sigs_[pj]) +
                            SignatureGenerator::instruction_distance(sigs_[pi], sigs_[pj]);
@@ -635,27 +381,17 @@ void SafeDm::group_cycle(u64 cycle, const core::CoreTapFrame* const* frames) {
   }
 
   // Group verdicts: the lowered policy threshold over the per-pair verdicts.
-  const bool ds_match = ds_n >= needed_;
-  const bool is_match = is_n >= needed_;
-  const bool nodiv = nodiv_n >= needed_;
+  const unsigned needed = pairs_needed<N>(needed_);
+  const bool ds_match = ds_n >= needed;
+  const bool is_match = is_n >= needed;
+  const bool nodiv = nodiv_n >= needed;
   lacking_now_ = nodiv;
   ds_match_now_ = ds_match;
   is_match_now_ = is_match;
-
-  const auto track = [](bool condition, u64& run, u64& counter, Histogram& hist) {
-    if (condition) {
-      ++counter;
-      ++run;
-    } else if (run > 0) {
-      hist.add(run);
-      run = 0;
-    }
-  };
   track(ds_match, ds_run_, counters_.ds_match_cycles, hist_ds_);
   track(is_match, is_run_, counters_.is_match_cycles, hist_is_);
   track(nodiv, nodiv_run_, counters_.nodiv_cycles, hist_nodiv_);
-
-  if (zero_n >= needed_) ++counters_.zero_stag_cycles;
+  if (zero_n >= needed) ++counters_.zero_stag_cycles;
 
   if (config_.track_distance) {
     // The group's diversity magnitude is its weakest link: the minimum
@@ -670,176 +406,170 @@ void SafeDm::group_cycle(u64 cycle, const core::CoreTapFrame* const* frames) {
   if (trail_) trail_->push_back(lacking_now_);
 }
 
-void SafeDm::process_group_chunk(u64 first_cycle, const core::CoreTapFrame* const* frames,
-                                 unsigned offset, unsigned m) {
-  // The N-replica analogue of process_chunk_ports: per-cycle-exact, all
-  // commits keyed to cycle events. Port/pair loops run with runtime trip
-  // counts (the matrix dominates the cost; the per-port unrolling of the
-  // pairwise path buys little here).
+template <unsigned N, unsigned P, bool kCrc>
+unsigned SafeDm::process_chunk(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                               unsigned m) {
+  // Per-cycle-exact batched hot loop. All accounting below is keyed to
+  // cycle events (never to chunk boundaries), so the committed state —
+  // including snapshot bytes — is independent of how a cycle stream is
+  // chunked. Kernel dispatch, ring-plane pointers, and counter traffic
+  // (group and per-pair) are hoisted out of the loop; state is committed
+  // once at the end. The stage compare resolves to a fixed-count kernel
+  // (kStageSlots baked in: straight-line vector code, no loop or tail
+  // branches). Replica loops unroll as in group_cycle.
+  constexpr unsigned kReplicas = N != 0 ? N : kMaxReplicas;  // array bounds
+  constexpr unsigned kPairs = N != 0 ? pairs_for(N) : kMaxReplicaPairs;
+  const unsigned n = N != 0 ? N : config_.num_replicas;
+  const unsigned n_pairs = N != 0 ? kPairs : num_pairs();
+  const unsigned ports = P != 0 ? P : config_.num_ports;
   const simd::WordsEqualFixedFn stage_equal =
       simd::words_equal_fixed_fn<SignatureGenerator::kStageSlots>(simd::active_kernel());
-  const bool crc = config_.compare == CompareMode::kCrc32;
-  const unsigned n = config_.num_replicas;
-  const unsigned n_pairs = static_cast<unsigned>(pairs_.size());
-  const unsigned ports = config_.num_ports;
   const unsigned stride = sigs_[0].padded_depth();
   const unsigned ring_mask = stride - 1;
-
-  u64* values[kMaxReplicas];
-  u8* enables[kMaxReplicas];
-  u64 shifts[kMaxReplicas];
-  u64 adds[kMaxReplicas] = {};
-  bool seen[kMaxReplicas];
-  for (unsigned r = 0; r < n; ++r) {
-    values[r] = sigs_[r].values_mut();
-    enables[r] = sigs_[r].enables_mut();
-    shifts[r] = sigs_[r].shift_count();
-    seen[r] = seen_commit_[r];
-  }
-  // Pair staggering diffs, rebased whenever the chunk commits mid-stream.
-  i64 stag_base[kMaxReplicaPairs];
-  u64 hold_reuses[kMaxReplicaPairs] = {};
-  u64 is_recomputes[kMaxReplicaPairs] = {};  // CRC mode only
-  bool pair_is[kMaxReplicaPairs] = {};
-  for (unsigned p = 0; p < n_pairs; ++p)
-    stag_base[p] = inst_diff_.pair_diff(pair_replicas_[p].first, pair_replicas_[p].second);
-
-  u64 monitored = 0, nodiv_c = 0, ds_c = 0, is_c = 0, zero_c = 0;
-  u64 nodiv_run = nodiv_run_, ds_run = ds_run_, is_run = is_run_;
-  bool ds_now = ds_match_now_, is_now = is_match_now_, lack_now = lacking_now_;
+  const unsigned needed = pairs_needed<N>(needed_);
+  SignatureGenerator* const sigs = sigs_.data();
+  DiversityComparator* const pairs = pairs_.data();
   std::vector<bool>* const trail = trail_;
 
-  u64 fire_at = ~u64{0};
-  if (!irq_pending_) {
-    if (config_.report == ReportMode::kInterruptFirst) fire_at = 1;
-    else if (config_.report == ReportMode::kInterruptThreshold) fire_at = config_.interrupt_threshold;
+  const core::CoreTapFrame* f[kReplicas] = {};
+  u64* values[kReplicas] = {};
+  u8* enables[kReplicas] = {};
+  u64 shifts[kReplicas] = {};
+  u64 cum[kReplicas] = {};  // cumulative commits: a pair is unstaggered when equal
+#pragma GCC unroll 2
+  for (unsigned r = 0; r < n; ++r) {
+    f[r] = frames[r];
+    values[r] = sigs[r].values_mut();
+    enables[r] = sigs[r].enables_mut();
+    shifts[r] = sigs[r].shift_count();
+    cum[r] = inst_diff_.cumulative(r);
   }
+  // This chunk's matrix cell counts and per-pair comparator stats.
+  u64 pair_ds[kPairs] = {}, pair_is[kPairs] = {}, pair_nodiv[kPairs] = {},
+      pair_zero[kPairs] = {};
+  u64 hold_reuses[kPairs] = {}, is_recomputes[kPairs] = {};  // is_recomputes: CRC mode
+  bool is_last[kPairs] = {};
+
+  u64 nodiv_c = 0, ds_c = 0, is_c = 0, zero_c = 0;
+  u64 nodiv_run = nodiv_run_, ds_run = ds_run_, is_run = is_run_;
+  bool ds_now = ds_match_now_, is_now = is_match_now_, lack_now = lacking_now_;
+
+  // The chunk ends on the cycle the nodiv count reaches the IRQ threshold,
+  // so the handler runs after a full commit and the next chunk re-reads
+  // whatever it changed.
+  const u64 fire_at = irq_threshold();
   const u64 nodiv_base = counters_.nodiv_cycles;
 
-  for (unsigned c = 0; c < m; ++c) {
-    bool shifted[kMaxReplicas];
-    bool stage_changed[kMaxReplicas];
+  unsigned c = 0;
+  bool fired = false;
+  while (c < m && !fired) {
+    // A halted replica gates counting but still clocks its FIFOs: the
+    // per-cycle path takes that cycle.
+    bool halted = false;
+#pragma GCC unroll 2
+    for (unsigned r = 0; r < n; ++r) halted = halted || f[r][c].halted;
+    if (halted) break;
+    // Bit r set: replica r's pipeline holds this cycle (its FIFOs freeze).
+    unsigned held = 0;
+    bool stage_changed[kReplicas] = {};
+#pragma GCC unroll 2
     for (unsigned r = 0; r < n; ++r) {
-      const core::CoreTapFrame& f = frames[r][offset + c];
-      shifted[r] = !f.hold;
-      stage_changed[r] = crc && sigs_[r].observe_stage(&f.stage);
-      if (!f.hold) {
-        const unsigned slot = static_cast<unsigned>(shifts[r]) & ring_mask;
-        for (unsigned p = 0; p < ports; ++p) {
-          const unsigned idx = p * stride + slot;
-          values[r][idx] = f.port[p].value;
-          enables[r][idx] = f.port[p].enable ? u8{1} : u8{0};
-        }
-        if (crc) sigs_[r].shift_crc(shifts[r], f);
-        ++shifts[r];
+      const core::CoreTapFrame& fr = f[r][c];
+      if constexpr (kCrc) stage_changed[r] = sigs[r].observe_stage(&fr.stage);
+      held |= static_cast<unsigned>(fr.hold) << r;
+      cum[r] += fr.commits;
+    }
+    const auto shift_in = [&](unsigned r) {
+      const core::CoreTapFrame& fr = f[r][c];
+      const unsigned slot = static_cast<unsigned>(shifts[r]) & ring_mask;
+      for (unsigned p = 0; p < ports; ++p) {
+        const unsigned idx = p * stride + slot;
+        values[r][idx] = fr.port[p].value;
+        enables[r][idx] = fr.port[p].enable ? u8{1} : u8{0};
       }
-      adds[r] += f.commits;
-      seen[r] = seen[r] || f.commits > 0;
+      if constexpr (kCrc) sigs[r].shift_crc(shifts[r], fr);
+      ++shifts[r];
+    };
+
+    // DS verdicts. The common cycle, nobody held, runs without per-replica
+    // hold branches; otherwise each pair steps by which of its two held.
+    bool ds[kPairs] = {};
+    if (held == 0) {
+#pragma GCC unroll 2
+      for (unsigned r = 0; r < n; ++r) shift_in(r);
+      for (unsigned p = 0; p < n_pairs; ++p) {
+        const auto [pi, pj] = cell_replicas<N>(pair_replicas_, p);
+        if constexpr (kCrc) ds[p] = pairs[p].step_crc(true);
+        else ds[p] = pairs[p].template step_shift<P>(f[pi][c], f[pj][c]);
+      }
+    } else {
+#pragma GCC unroll 2
+      for (unsigned r = 0; r < n; ++r)
+        if (((held >> r) & 1) == 0) shift_in(r);
+      for (unsigned p = 0; p < n_pairs; ++p) {
+        const auto [pi, pj] = cell_replicas<N>(pair_replicas_, p);
+        const unsigned both = (1u << pi) | (1u << pj);
+        if ((held & both) == 0) {
+          if constexpr (kCrc) ds[p] = pairs[p].step_crc(true);
+          else ds[p] = pairs[p].template step_shift<P>(f[pi][c], f[pj][c]);
+        } else if ((held & both) == both) {
+          ++hold_reuses[p];
+          ds[p] = pairs[p].ds_match();
+        } else {
+          // Divergent holds: only the un-held replica shifted; realign.
+          if constexpr (kCrc) ds[p] = pairs[p].step_crc(false);
+          else ds[p] = pairs[p].step_realign(shifts[pi], shifts[pj]);
+        }
+      }
     }
 
     unsigned ds_n = 0, is_n = 0, nodiv_n = 0, zero_n = 0;
     for (unsigned p = 0; p < n_pairs; ++p) {
-      const unsigned pi = pair_replicas_[p].first;
-      const unsigned pj = pair_replicas_[p].second;
-      const core::CoreTapFrame& fi = frames[pi][offset + c];
-      const core::CoreTapFrame& fj = frames[pj][offset + c];
-      bool ds_match;
-      if (shifted[pi] && shifted[pj]) {
-        ds_match = crc ? pairs_[p].step_crc(true) : pairs_[p].step_shift(fi, fj);
-      } else if (!shifted[pi] && !shifted[pj]) {
-        ++hold_reuses[p];
-        ds_match = pairs_[p].ds_match();
-      } else {
-        ds_match = crc ? pairs_[p].step_crc(false)
-                       : pairs_[p].step_realign(shifts[pi], shifts[pj]);
-      }
+      const auto [pi, pj] = cell_replicas<N>(pair_replicas_, p);
+      const core::CoreTapFrame& fi = f[pi][c];
+      const core::CoreTapFrame& fj = f[pj][c];
+      const bool ds_match = ds[p];
       bool is_match;
-      if (crc) {
+      if constexpr (kCrc) {
         if (stage_changed[pi] || stage_changed[pj]) ++is_recomputes[p];
-        is_match = stage_crcs_match(sigs_[pi], sigs_[pj], stage_equal);
+        is_match = stage_crcs_match(sigs[pi], sigs[pj], stage_equal);
       } else {
+        // IS verdict straight off the frames: the packed generator
+        // snapshots would be byte-identical, so skip the stage copies the
+        // per-cycle path pays and compare once with the dispatched kernel.
         is_match = stage_equal(&fi.stage, &fj.stage);
       }
-      pair_is[p] = is_match;
+      is_last[p] = is_match;
       const bool nodiv = ds_match && is_match;
-      PairCounters& pc = pair_counters_[p];
-      if (ds_match) {
-        ++pc.ds_match_cycles;
-        ++ds_n;
-      }
-      if (is_match) {
-        ++pc.is_match_cycles;
-        ++is_n;
-      }
-      if (nodiv) {
-        ++pc.nodiv_cycles;
-        ++nodiv_n;
-      }
       // Batch eligibility guarantees the staggering counter is armed.
-      if (stag_base[p] + static_cast<i64>(adds[pi] - adds[pj]) == 0) {
-        ++pc.zero_stag_cycles;
-        ++zero_n;
-      }
+      const bool zero = cum[pi] == cum[pj];
+      pair_ds[p] += ds_match;
+      pair_is[p] += is_match;
+      pair_nodiv[p] += nodiv;
+      pair_zero[p] += zero;
+      ds_n += ds_match;
+      is_n += is_match;
+      nodiv_n += nodiv;
+      zero_n += zero;
     }
 
-    ++monitored;
-    const bool ds_match_g = ds_n >= needed_;
-    const bool is_match_g = is_n >= needed_;
-    const bool nodiv_g = nodiv_n >= needed_;
-    if (ds_match_g) {
-      ++ds_c;
-      ++ds_run;
-    } else if (ds_run > 0) {
-      hist_ds_.add(ds_run);
-      ds_run = 0;
-    }
-    if (is_match_g) {
-      ++is_c;
-      ++is_run;
-    } else if (is_run > 0) {
-      hist_is_.add(is_run);
-      is_run = 0;
-    }
-    if (nodiv_g) {
-      ++nodiv_c;
-      ++nodiv_run;
-    } else if (nodiv_run > 0) {
-      hist_nodiv_.add(nodiv_run);
-      nodiv_run = 0;
-    }
-    if (zero_n >= needed_) ++zero_c;
-    ds_now = ds_match_g;
-    is_now = is_match_g;
-    lack_now = nodiv_g;
-    if (trail) trail->push_back(nodiv_g);
-
-    if (nodiv_base + nodiv_c >= fire_at) {
-      counters_.monitored_cycles += monitored;
-      counters_.nodiv_cycles += nodiv_c;
-      counters_.ds_match_cycles += ds_c;
-      counters_.is_match_cycles += is_c;
-      counters_.zero_stag_cycles += zero_c;
-      monitored = nodiv_c = ds_c = is_c = zero_c = 0;
-      nodiv_run_ = nodiv_run;
-      ds_run_ = ds_run;
-      is_run_ = is_run;
-      for (unsigned r = 0; r < n; ++r) seen_commit_[r] = seen[r];
-      lacking_now_ = lack_now;
-      ds_match_now_ = ds_now;
-      is_match_now_ = is_now;
-      inst_diff_.batch_commit_n(adds, n);
-      for (unsigned r = 0; r < n; ++r) adds[r] = 0;
-      for (unsigned p = 0; p < n_pairs; ++p)
-        stag_base[p] =
-            inst_diff_.pair_diff(pair_replicas_[p].first, pair_replicas_[p].second);
-      irq_pending_ = true;
-      ++counters_.interrupts;
-      fire_at = ~u64{0};
-      if (irq_handler_) irq_handler_(first_cycle + c);
-    }
+    const bool ds_match = ds_n >= needed;
+    const bool is_match = is_n >= needed;
+    const bool nodiv = nodiv_n >= needed;
+    track(ds_match, ds_run, ds_c, hist_ds_);
+    track(is_match, is_run, is_c, hist_is_);
+    track(nodiv, nodiv_run, nodiv_c, hist_nodiv_);
+    zero_c += zero_n >= needed;
+    ds_now = ds_match;
+    is_now = is_match;
+    lack_now = nodiv;
+    if (trail) trail->push_back(nodiv);
+    ++c;
+    fired = nodiv_base + nodiv_c >= fire_at;
   }
 
-  counters_.monitored_cycles += monitored;
+  if (c == 0) return 0;
+  counters_.monitored_cycles += c;
   counters_.nodiv_cycles += nodiv_c;
   counters_.ds_match_cycles += ds_c;
   counters_.is_match_cycles += is_c;
@@ -847,15 +577,27 @@ void SafeDm::process_group_chunk(u64 first_cycle, const core::CoreTapFrame* cons
   nodiv_run_ = nodiv_run;
   ds_run_ = ds_run;
   is_run_ = is_run;
-  for (unsigned r = 0; r < n; ++r) seen_commit_[r] = seen[r];
   lacking_now_ = lack_now;
   ds_match_now_ = ds_now;
   is_match_now_ = is_now;
+  u64 adds[kReplicas] = {};
+#pragma GCC unroll 2
+  for (unsigned r = 0; r < n; ++r) {
+    adds[r] = cum[r] - inst_diff_.cumulative(r);
+    seen_commit_[r] = seen_commit_[r] || adds[r] > 0;
+    sigs[r].batch_commit(shifts[r], &f[r][c - 1].stage, c);
+  }
   inst_diff_.batch_commit_n(adds, n);
-  for (unsigned r = 0; r < n; ++r)
-    sigs_[r].batch_commit(shifts[r], &frames[r][offset + m - 1].stage, m);
-  for (unsigned p = 0; p < n_pairs; ++p)
-    pairs_[p].batch_commit(hold_reuses[p], crc ? is_recomputes[p] : m, pair_is[p]);
+  for (unsigned p = 0; p < n_pairs; ++p) {
+    PairCounters& pc = pair_counters_[p];
+    pc.ds_match_cycles += pair_ds[p];
+    pc.is_match_cycles += pair_is[p];
+    pc.nodiv_cycles += pair_nodiv[p];
+    pc.zero_stag_cycles += pair_zero[p];
+    pairs[p].batch_commit(hold_reuses[p], kCrc ? is_recomputes[p] : c, is_last[p]);
+  }
+  update_interrupt(first_cycle + c - 1);
+  return c;
 }
 
 void SafeDm::finalize() {
@@ -865,24 +607,24 @@ void SafeDm::finalize() {
   ds_run_ = is_run_ = nodiv_run_ = 0;
 }
 
-void SafeDm::update_interrupt(u64 cycle) {
-  bool fire = false;
+u64 SafeDm::irq_threshold() const {
+  if (irq_pending_) return ~u64{0};
   switch (config_.report) {
     case ReportMode::kInterruptFirst:
-      fire = counters_.nodiv_cycles >= 1;
-      break;
+      return 1;
     case ReportMode::kInterruptThreshold:
-      fire = counters_.nodiv_cycles >= config_.interrupt_threshold;
-      break;
+      return config_.interrupt_threshold;
     case ReportMode::kPollOnly:
-      fire = false;
       break;
   }
-  if (fire && !irq_pending_) {
-    irq_pending_ = true;
-    ++counters_.interrupts;
-    if (irq_handler_) irq_handler_(cycle);
-  }
+  return ~u64{0};
+}
+
+void SafeDm::update_interrupt(u64 cycle) {
+  if (counters_.nodiv_cycles < irq_threshold()) return;
+  irq_pending_ = true;
+  ++counters_.interrupts;
+  if (irq_handler_) irq_handler_(cycle);
 }
 
 // ---- APB register file ---------------------------------------------------------------
@@ -1010,9 +752,11 @@ void InstructionDiff::restore_state(StateReader& r) {
 }
 
 void SafeDm::save_state(StateWriter& w) const {
-  w.begin_section("SFDM", 2);
-  // Group shape first: a snapshot only restores into a same-shape monitor.
+  w.begin_section("SFDM", 3);
+  // Group shape first: a snapshot only restores into a same-shape monitor
+  // (replica count and lowered verdict policy).
   w.put_u32(config_.num_replicas);
+  w.put_u32(needed_);
   // Runtime-writable config bits (kCtrl report mode, kThreshold).
   w.put_u8(static_cast<u8>(config_.report));
   w.put_u32(config_.interrupt_threshold);
@@ -1036,7 +780,7 @@ void SafeDm::save_state(StateWriter& w) const {
   w.put_u64(is_run_);
   w.put_u32(hist_select_);
   w.put_u32(pair_select_);
-  // Matrix cells (N > 2 only; for pairs the group counters are the cell).
+  // Matrix cells, one per pair.
   for (const PairCounters& pc : pair_counters_) {
     w.put_u64(pc.nodiv_cycles);
     w.put_u64(pc.ds_match_cycles);
@@ -1057,9 +801,13 @@ void SafeDm::save_state(StateWriter& w) const {
 }
 
 void SafeDm::restore_state(StateReader& r) {
-  r.begin_section("SFDM", 2);
+  r.begin_section("SFDM", 3);
   if (r.get_u32() != config_.num_replicas)
     throw StateError("SafeDm group shape mismatch (num_replicas)");
+  const u32 needed = r.get_u32();
+  if (needed != needed_)
+    throw StateError("SafeDm group shape mismatch (verdict threshold " + std::to_string(needed) +
+                     ", monitor has " + std::to_string(needed_) + ")");
   const u8 report = r.get_u8();
   if (report > static_cast<u8>(ReportMode::kPollOnly))
     throw StateError("SafeDm report mode " + std::to_string(report) + " out of range (0..2)");

@@ -199,7 +199,7 @@ TEST_P(BatchedEquivalence, TrailCountersAndStateMatchPerCycleDelivery) {
   // taken the chunked fast path (fast-path steps dominate once armed), not
   // fallen back silently.
   if (config.is_mode == IsMode::kPerStage && config.data_fifo_depth <= 64) {
-    EXPECT_GT(bat.comparator_stats().fast_updates, 1000u);
+    EXPECT_GT(bat.pair_stats(0).fast_updates, 1000u);
   }
 }
 

@@ -1,10 +1,12 @@
 // Property tests for the N-replica group monitor:
 //
-//   1. A 2-replica monitor driven through the *group* hooks
-//      (on_group_cycle / on_group_cycles) is bit-identical to the legacy
-//      pairwise delivery across the full batched-equivalence sweep (72
-//      scenarios: depths x ports x compare x IS modes) — verdict trail,
-//      counters, and serialized state bytes.
+//   1. For N in {2, 3, 4}, incremental delivery — per-cycle and batched
+//      at random chunk boundaries — matches the exhaustive
+//      (incremental_compare = false) per-cycle oracle across the full
+//      batched-equivalence sweep (72 scenarios: depths x ports x compare x
+//      IS modes): verdict trail, group counters, every pairwise matrix
+//      cell, and the nodiv/DS/IS histograms. Every replica count runs the
+//      same datapath, the paper's pair included.
 //
 //   2. For N > 2, batched group delivery (on_group_cycles, chunked at
 //      random boundaries) matches per-cycle on_group_cycle delivery
@@ -142,63 +144,96 @@ void expect_same_matrix(const SafeDm& a, const SafeDm& b) {
   }
 }
 
-// ---- 1. N=2 group hooks == legacy pairwise delivery ------------------------
+// ---- 1. incremental delivery == the exhaustive oracle ----------------------
 
+std::vector<u8> histogram_bytes(const Histogram& h) {
+  StateWriter w;
+  h.save_state(w);
+  return std::move(w).take();
+}
+
+void expect_matches_oracle(const SafeDm& oracle, const SafeDm& dm) {
+  const auto& co = oracle.counters();
+  const auto& cd = dm.counters();
+  EXPECT_EQ(co.monitored_cycles, cd.monitored_cycles);
+  EXPECT_EQ(co.nodiv_cycles, cd.nodiv_cycles);
+  EXPECT_EQ(co.ds_match_cycles, cd.ds_match_cycles);
+  EXPECT_EQ(co.is_match_cycles, cd.is_match_cycles);
+  EXPECT_EQ(co.zero_stag_cycles, cd.zero_stag_cycles);
+  EXPECT_EQ(co.interrupts, cd.interrupts);
+  ASSERT_EQ(oracle.num_pairs(), dm.num_pairs());
+  for (unsigned p = 0; p < oracle.num_pairs(); ++p) {
+    const PairCounters& po = oracle.pair_counters(p);
+    const PairCounters& pd = dm.pair_counters(p);
+    EXPECT_EQ(po.nodiv_cycles, pd.nodiv_cycles) << "pair " << p;
+    EXPECT_EQ(po.ds_match_cycles, pd.ds_match_cycles) << "pair " << p;
+    EXPECT_EQ(po.is_match_cycles, pd.is_match_cycles) << "pair " << p;
+    EXPECT_EQ(po.zero_stag_cycles, pd.zero_stag_cycles) << "pair " << p;
+  }
+  EXPECT_EQ(histogram_bytes(oracle.nodiv_history()), histogram_bytes(dm.nodiv_history()));
+  EXPECT_EQ(histogram_bytes(oracle.ds_history()), histogram_bytes(dm.ds_history()));
+  EXPECT_EQ(histogram_bytes(oracle.is_history()), histogram_bytes(dm.is_history()));
+}
+
+// Property 1. The suite, test and scenario names are kept so test IDs stay
+// stable.
 class GroupPairEquivalence : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(GroupPairEquivalence, GroupHooksMatchLegacyPairwiseDelivery) {
   const Scenario& scenario = GetParam();
-  SafeDmConfig config;
-  config.num_replicas = 2;
-  config.data_fifo_depth = scenario.depth;
-  config.num_ports = scenario.ports;
-  config.compare = scenario.compare;
-  config.is_mode = scenario.is_mode;
-  config.start_enabled = true;
+  for (const unsigned n : {2u, 3u, 4u}) {
+    SCOPED_TRACE("replicas " + std::to_string(n));
+    SafeDmConfig config;
+    config.num_replicas = n;
+    config.data_fifo_depth = scenario.depth;
+    config.num_ports = scenario.ports;
+    config.compare = scenario.compare;
+    config.is_mode = scenario.is_mode;
+    config.start_enabled = true;
+    SafeDmConfig exhaustive = config;
+    exhaustive.incremental_compare = false;
 
-  constexpr unsigned kCycles = 2000;
-  const GroupStreams s =
-      scripted_group_streams(2, scenario.seed * 0x9E3779B97F4A7C15ULL + 7, kCycles);
+    constexpr unsigned kCycles = 2000;
+    const GroupStreams s =
+        scripted_group_streams(n, scenario.seed * 0x9E3779B97F4A7C15ULL + 7, kCycles);
+    const std::vector<const core::CoreTapFrame*> bases = s.bases();
 
-  SafeDm ref(config);  // legacy pairwise delivery
-  SafeDm grp(config);  // group hooks, random chunk sizes
-  std::vector<bool> ref_trail, grp_trail;
-  ref.set_verdict_trail(&ref_trail);
-  grp.set_verdict_trail(&grp_trail);
-  for (unsigned c = 0; c < kCycles; ++c) ref.on_cycle(c, s.replica[0][c], s.replica[1][c]);
-
-  Xoshiro256 chunk_rng(scenario.seed ^ 0x6B0);
-  const std::vector<const core::CoreTapFrame*> bases = s.bases();
-  unsigned delivered = 0;
-  while (delivered < kCycles) {
-    const unsigned n =
-        std::min(static_cast<unsigned>(chunk_rng.range(1, 80)), kCycles - delivered);
-    if (n == 1 && chunk_rng.chance(0.5)) {
-      const core::CoreTapFrame* frames[2] = {&s.replica[0][delivered],
-                                             &s.replica[1][delivered]};
-      grp.on_group_cycle(delivered, frames, 2);
-    } else {
-      const core::CoreTapFrame* frames[2] = {bases[0] + delivered, bases[1] + delivered};
-      grp.on_group_cycles(delivered, frames, 2, n);
+    SafeDm oracle(exhaustive);  // per-cycle, exhaustive compare
+    SafeDm per_cycle(config);   // per-cycle, incremental compare
+    SafeDm batched(config);     // random chunk sizes, incremental compare
+    std::vector<bool> oracle_trail, per_cycle_trail, batched_trail;
+    oracle.set_verdict_trail(&oracle_trail);
+    per_cycle.set_verdict_trail(&per_cycle_trail);
+    batched.set_verdict_trail(&batched_trail);
+    std::vector<const core::CoreTapFrame*> frames(n);
+    for (unsigned c = 0; c < kCycles; ++c) {
+      for (unsigned r = 0; r < n; ++r) frames[r] = &s.replica[r][c];
+      oracle.on_group_cycle(c, frames.data(), n);
+      per_cycle.on_group_cycle(c, frames.data(), n);
     }
-    delivered += n;
+
+    Xoshiro256 chunk_rng(scenario.seed ^ 0x6B0);
+    unsigned delivered = 0;
+    while (delivered < kCycles) {
+      const unsigned m =
+          std::min(static_cast<unsigned>(chunk_rng.range(1, 80)), kCycles - delivered);
+      for (unsigned r = 0; r < n; ++r) frames[r] = bases[r] + delivered;
+      // The pair also takes its own hooks, which forward to the group path.
+      if (n == 2 && chunk_rng.chance(0.5)) batched.on_cycles(delivered, frames[0], frames[1], m);
+      else batched.on_group_cycles(delivered, frames.data(), n, m);
+      delivered += m;
+    }
+    for (SafeDm* dm : {&oracle, &per_cycle, &batched}) {
+      dm->set_verdict_trail(nullptr);
+      dm->finalize();
+    }
+
+    EXPECT_EQ(oracle_trail, per_cycle_trail);
+    EXPECT_EQ(oracle_trail, batched_trail);
+    expect_matches_oracle(oracle, per_cycle);
+    expect_matches_oracle(oracle, batched);
+    EXPECT_EQ(monitor_bytes(per_cycle), monitor_bytes(batched));
   }
-  ref.set_verdict_trail(nullptr);
-  grp.set_verdict_trail(nullptr);
-
-  EXPECT_EQ(ref_trail, grp_trail);
-  EXPECT_EQ(ref.counters().nodiv_cycles, grp.counters().nodiv_cycles);
-  EXPECT_EQ(ref.counters().zero_stag_cycles, grp.counters().zero_stag_cycles);
-  EXPECT_EQ(ref.instruction_diff(), grp.instruction_diff());
-  EXPECT_EQ(monitor_bytes(ref), monitor_bytes(grp));
-
-  // The single pair *is* the group: its synthesized matrix cell must equal
-  // the group counters.
-  const PairCounters pc = grp.pair_counters(0);
-  EXPECT_EQ(pc.nodiv_cycles, grp.counters().nodiv_cycles);
-  EXPECT_EQ(pc.ds_match_cycles, grp.counters().ds_match_cycles);
-  EXPECT_EQ(pc.is_match_cycles, grp.counters().is_match_cycles);
-  EXPECT_EQ(pc.zero_stag_cycles, grp.counters().zero_stag_cycles);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, GroupPairEquivalence, ::testing::ValuesIn(make_scenarios()),

@@ -226,8 +226,9 @@ TEST(SafeDm, RestoreRejectsOutOfRangeReportMode) {
   StateWriter w;
   dm.save_state(w);
   std::vector<u8> bytes = std::move(w).take();
-  // Stream magic (8) + SFDM section header (16) + num_replicas (4).
-  constexpr std::size_t kReportByte = 8 + 16 + 4;
+  // Stream magic (8) + SFDM section header (16) + num_replicas (4) +
+  // verdict threshold (4).
+  constexpr std::size_t kReportByte = 8 + 16 + 4 + 4;
   ASSERT_EQ(bytes[kReportByte], static_cast<u8>(ReportMode::kPollOnly));
   bytes[kReportByte] = 3;
   SafeDmConfig c = cfg();
@@ -243,6 +244,50 @@ TEST(SafeDm, RestoreRejectsOutOfRangeReportMode) {
     EXPECT_EQ(what.find('\n'), std::string::npos) << what;
   }
   EXPECT_EQ(target.config().report, ReportMode::kInterruptFirst);
+}
+
+TEST(SafeDm, RestoreRejectsVerdictThresholdMismatch) {
+  // A snapshot carries the lowered verdict policy: an any_pair triple's
+  // counters must not continue under all_pairs or quorum(2) rules.
+  SafeDmConfig any = cfg();
+  any.num_replicas = 3;
+  any.policy = VerdictPolicy::kAnyPair;
+  SafeDm source(any);
+  const core::CoreTapFrame frame = active_frame(1, 0x13);
+  const core::CoreTapFrame* frames[3] = {&frame, &frame, &frame};
+  for (int i = 0; i < 5; ++i) source.on_group_cycle(i, frames, 3);
+  StateWriter w;
+  source.save_state(w);
+  const std::vector<u8> bytes = std::move(w).take();
+
+  SafeDmConfig all = any;
+  all.policy = VerdictPolicy::kAllPairs;
+  SafeDmConfig quorum = any;
+  quorum.policy = VerdictPolicy::kQuorum;
+  quorum.quorum_k = 2;
+  for (const SafeDmConfig& c : {all, quorum}) {
+    SafeDm target(c);
+    StateReader r(bytes);
+    try {
+      target.restore_state(r);
+      FAIL() << "restore accepted threshold 1 into a monitor needing "
+             << target.verdict_threshold();
+    } catch (const StateError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("verdict threshold 1"), std::string::npos) << what;
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+    }
+    EXPECT_EQ(target.counters().nodiv_cycles, 0u);
+  }
+
+  // quorum(1) lowers to the same threshold as any_pair: it restores.
+  SafeDmConfig quorum1 = any;
+  quorum1.policy = VerdictPolicy::kQuorum;
+  quorum1.quorum_k = 1;
+  SafeDm target(quorum1);
+  StateReader r(bytes);
+  target.restore_state(r);
+  EXPECT_EQ(target.counters().nodiv_cycles, source.counters().nodiv_cycles);
 }
 
 TEST(SafeDm, ApbHistogramReadout) {
