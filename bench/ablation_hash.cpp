@@ -33,8 +33,13 @@ struct DualMonitor : soc::CycleObserver {
           return c;
         }()) {}
 
-  void on_cycle(u64 cycle, const core::CoreTapFrame& f0,
-                const core::CoreTapFrame& f1) override {
+  /// Compares the two monitors' verdicts for the current cycle.
+  bool needs_per_cycle() const override { return true; }
+  void on_group_cycles(u64 first, const core::CoreTapFrame* const* frames, unsigned n,
+                       unsigned n_cycles) override {
+    soc::deliver_pair_cycles(*this, first, frames, n, n_cycles);
+  }
+  void on_cycle(u64 cycle, const core::CoreTapFrame& f0, const core::CoreTapFrame& f1) {
     raw.on_cycle(cycle, f0, f1);
     crc.on_cycle(cycle, f0, f1);
     if (raw.lacking_diversity_now() != crc.lacking_diversity_now()) {

@@ -44,8 +44,12 @@ class DclsChecker final : public soc::CycleObserver {
  public:
   explicit DclsChecker(const DclsConfig& config) : config_(config) {}
 
+  void on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                       unsigned n_replicas, unsigned n_cycles) override {
+    soc::deliver_pair_cycles(*this, first_cycle, frames, n_replicas, n_cycles);
+  }
   void on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
-                const core::CoreTapFrame& frame1) override;
+                const core::CoreTapFrame& frame1);
 
   bool error_detected() const { return stats_.mismatches > 0 || stats_.desynchronized; }
   const DclsStats& stats() const { return stats_; }

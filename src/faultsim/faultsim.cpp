@@ -15,9 +15,10 @@ namespace safedm::faultsim {
 namespace {
 
 // The monitor is the only observer and a pure sink, so campaign rigs run
-// with batched observer delivery: SafeDM's chunked on_cycles path does the
-// heavy lifting, and snapshots/verdicts stay bit-identical to per-cycle
-// delivery (flushed automatically at checkpoints and APB accesses).
+// with batched observer delivery: SafeDM's chunked on_group_cycles path
+// does the heavy lifting, and snapshots/verdicts stay bit-identical to
+// per-cycle delivery (flushed automatically at checkpoints and APB
+// accesses).
 constexpr unsigned kRigObserverBatch = 32;
 
 soc::SocConfig rig_soc_config() {

@@ -30,8 +30,15 @@ class SafeDe final : public soc::CycleObserver {
  public:
   SafeDe(const SafeDeConfig& config, soc::MpSoc& soc);
 
+  void on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                       unsigned n_replicas, unsigned n_cycles) override {
+    soc::deliver_pair_cycles(*this, first_cycle, frames, n_replicas, n_cycles);
+  }
+  /// SafeDE stalls the trail core as the distance shrinks, so it must act
+  /// on every cycle as it completes.
+  bool needs_per_cycle() const override { return true; }
   void on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
-                const core::CoreTapFrame& frame1) override;
+                const core::CoreTapFrame& frame1);
 
   void enable(bool on);
   /// Head-core commits minus trail-core commits.

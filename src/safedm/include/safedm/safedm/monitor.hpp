@@ -183,35 +183,34 @@ class SafeDm final : public soc::CycleObserver, public bus::ApbDevice {
   void set_interrupt_handler(std::function<void(u64 cycle)> handler);
 
   // ---- observation ---------------------------------------------------------
-  /// Pair delivery (2-replica monitors): on_group_cycle with the two
-  /// frames as the group.
-  void on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
-                const core::CoreTapFrame& frame1) override;
-
-  /// Batched pair delivery: on_group_cycles for a 2-replica monitor.
-  void on_cycles(u64 first_cycle, const core::CoreTapFrame* frame0,
-                 const core::CoreTapFrame* frame1, unsigned n) override;
-
-  /// Group delivery, one cycle (the pair hooks above forward here). Updates
-  /// every cell of the pairwise diversity matrix, then lowers the
-  /// configured VerdictPolicy to a threshold over the per-pair verdicts for
-  /// the group counters/histograms/IRQ.
-  void on_group_cycle(u64 cycle, const core::CoreTapFrame* const* frames,
-                      unsigned n_replicas) override;
-  /// Batched group delivery (MpSoc observer_batch > 1, or direct driving
-  /// from benches): processes `n_cycles` consecutive cycles with per-cycle
-  /// semantics — the verdict stream, counters, histograms, IRQ timing, and
-  /// snapshot bytes are bit-identical to n_cycles on_group_cycle calls,
-  /// independent of batch boundaries. Eligible spans (incremental
-  /// per-stage mode, raw or CRC compare, depth <= 64, enabled + armed, no
-  /// halted frames) run a chunked fast loop and commit
-  /// generator/comparator/counter state once per chunk; everything else
-  /// falls back to the per-cycle path. Raw compare compares stage words via
-  /// one SIMD op and updates the bit-sliced mismatch masks in place; CRC
-  /// compare rolls each port's window CRC and rehashes a replica's IS CRC
-  /// only when its stage words change.
+  /// The observer hook (MpSoc delivery, or direct driving from benches):
+  /// processes `n_cycles` consecutive cycles with per-cycle semantics —
+  /// the verdict stream, counters, histograms, IRQ timing, and snapshot
+  /// bytes are bit-identical to n_cycles on_group_cycle calls, independent
+  /// of batch boundaries. Eligible spans (incremental per-stage mode, raw
+  /// or CRC compare, depth <= 64, enabled + armed, no halted frames) run a
+  /// chunked fast loop and commit generator/comparator/counter state once
+  /// per chunk; everything else falls back to the per-cycle path. Raw
+  /// compare compares stage words via one SIMD op and updates the
+  /// bit-sliced mismatch masks in place; CRC compare rolls each port's
+  /// window CRC and rehashes a replica's IS CRC only when its stage words
+  /// change. SafeDM is a pure sink, so it takes any batch length.
   void on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
                        unsigned n_replicas, unsigned n_cycles) override;
+
+  /// One cycle, without the span loop. Updates every cell of the pairwise
+  /// diversity matrix, then lowers the configured VerdictPolicy to a
+  /// threshold over the per-pair verdicts for the group
+  /// counters/histograms/IRQ.
+  void on_group_cycle(u64 cycle, const core::CoreTapFrame* const* frames,
+                      unsigned n_replicas);
+
+  /// Pair forms of the two above for 2-replica monitors, taking each
+  /// replica's frames separately.
+  void on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
+                const core::CoreTapFrame& frame1);
+  void on_cycles(u64 first_cycle, const core::CoreTapFrame* frame0,
+                 const core::CoreTapFrame* frame1, unsigned n);
 
   /// Optional per-cycle verdict sink: when set, every processed cycle
   /// appends lacking_diversity_now() (false for unmonitored cycles) —

@@ -264,7 +264,10 @@ void SafeDm::on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* f
                              unsigned n_replicas, unsigned n_cycles) {
   SAFEDM_CHECK_MSG(n_replicas == config_.num_replicas,
                    "group delivery width != configured num_replicas");
-  deliver(first_cycle, frames, n_cycles);
+  // Per-cycle delivery skips the span loop: for one cycle the per-cycle
+  // body is faster than entering the chunk kernel.
+  if (n_cycles == 1) (this->*cycle_fn_)(first_cycle, frames);
+  else deliver(first_cycle, frames, n_cycles);
 }
 
 bool SafeDm::batch_fast_eligible() const {

@@ -55,10 +55,11 @@ struct RunSpec {
   unsigned arbiter_bias = 0;
   u64 max_cycles = 20'000'000;
   monitor::SafeDmConfig dm{};
-  soc::SocConfig soc{};
+  /// SafeDM is a pure sink, so runs batch its delivery by default.
+  soc::SocConfig soc{.observer_batch = 32};
   /// When set, a SafeDE enforcement stage rides along (scenario DSL's
   /// staggering policy). SafeDE intervenes — it stalls the trail core —
-  /// so the run stays on per-cycle observer delivery.
+  /// so the SoC delivers every cycle as it completes while it is attached.
   std::optional<safede::SafeDeConfig> safede{};
 };
 

@@ -31,12 +31,6 @@ ThreadPool& shared_pool() {
 RunOutcome run_redundant(const assembler::Program& program, const RunSpec& spec) {
   soc::SocConfig soc_config = spec.soc;
   soc_config.arbiter_bias = spec.arbiter_bias;
-  // SafeDM is a pure sink, so batched delivery is safe and amortizes
-  // per-cycle dispatch. SafeDE is *not* — it stalls the trail core
-  // mid-flight, so its presence pins the rig to per-cycle delivery. A
-  // spec that explicitly set another batch size wins.
-  if (soc_config.observer_batch == 1 && !spec.safede) soc_config.observer_batch = 32;
-  if (spec.safede) soc_config.observer_batch = 1;
   soc::MpSoc soc(soc_config);
 
   std::optional<safede::SafeDe> enforcement;

@@ -114,73 +114,57 @@ struct SocConfig {
   /// Initial arbiter round-robin position (run-to-run platform variation).
   unsigned arbiter_bias = 0;
 
-  /// Cycles of tap frames buffered before observers are invoked. 1 (the
-  /// default) delivers per-cycle via on_cycle; N > 1 accumulates N
-  /// completed cycles in per-core rings and hands them to on_cycles in
-  /// one call, amortizing virtual dispatch across the batch. Pending
-  /// frames auto-flush on snapshot/save, at the end of run(), and before
-  /// any core's APB-window access, so guest programs and checkpoints
-  /// always observe exact per-cycle semantics. Only enable when every
-  /// attached observer is a pure sink (SafeDM, traces); intervening
-  /// observers (SafeDE, DCLS) need per-cycle delivery.
+  /// Cycles of tap frames buffered before observers are invoked. Each
+  /// core steps straight into a ring of this many frames; a full ring is
+  /// handed to every observer in one on_group_cycles call, amortizing
+  /// virtual dispatch across the batch. 1 (the default) delivers every
+  /// cycle as it completes. Pending frames auto-flush on snapshot/save, at
+  /// the end of run(), and before any core's APB-window access, so guest
+  /// programs and checkpoints always observe exact per-cycle semantics.
+  /// While an observer that needs per-cycle delivery is attached (see
+  /// CycleObserver::needs_per_cycle), the SoC delivers every cycle
+  /// regardless of this value.
   unsigned observer_batch = 1;
 };
 
-/// Observers see their group's tap frames each cycle (SafeDM, SafeDE,
-/// traces). Two-replica groups are delivered through the pairwise hooks
-/// (on_cycle/on_cycles, frame0/frame1 being the group's lower/upper
-/// core) — the interface every pre-group observer implements. Larger
-/// groups go through the group hooks; only observers that understand
-/// N > 2 (SafeDM's pairwise diversity matrix) override those.
+/// Observers see their group's tap frames (SafeDM, SafeDE, traces), through
+/// one hook for every group size and batch length.
 class CycleObserver {
  public:
   virtual ~CycleObserver() = default;
-  virtual void on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
-                        const core::CoreTapFrame& frame1) = 0;
 
-  /// Batched delivery (SocConfig::observer_batch > 1): `n` consecutive
-  /// completed cycles, frame0[k]/frame1[k] being the pair's frames for
-  /// cycle first_cycle + k. The default unrolls to per-cycle on_cycle
-  /// calls; observers with a batched fast path (SafeDM) override.
-  virtual void on_cycles(u64 first_cycle, const core::CoreTapFrame* frame0,
-                         const core::CoreTapFrame* frame1, unsigned n) {
-    for (unsigned k = 0; k < n; ++k) on_cycle(first_cycle + k, frame0[k], frame1[k]);
-  }
-
-  /// Group delivery: frames[r] is replica r's frame for this cycle. The
-  /// default forwards 2-replica groups to on_cycle and rejects larger
-  /// ones, so pair-only observers cannot silently watch a third replica.
-  virtual void on_group_cycle(u64 cycle, const core::CoreTapFrame* const* frames,
-                              unsigned n_replicas) {
-    SAFEDM_CHECK_MSG(n_replicas == 2, "observer only handles 2-replica groups");
-    on_cycle(cycle, *frames[0], *frames[1]);
-  }
-
-  /// Batched group delivery: frames[r] points at `n_cycles` consecutive
-  /// frames of replica r (frames[r][k] is replica r at first_cycle + k).
-  /// Default: 2-replica groups ride the pairwise batched hook; larger
-  /// groups unroll to per-cycle on_group_cycle calls.
+  /// `n_cycles` consecutive completed cycles of an `n_replicas` group:
+  /// frames[r][k] is replica r's frame for cycle first_cycle + k. Unless
+  /// the observer needs per-cycle delivery, n_cycles may be anything up to
+  /// SocConfig::observer_batch.
   virtual void on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
-                               unsigned n_replicas, unsigned n_cycles) {
-    if (n_replicas == 2) {
-      on_cycles(first_cycle, frames[0], frames[1], n_cycles);
-      return;
-    }
-    const core::CoreTapFrame* cycle_frames[kMaxGroupReplicas];
-    for (unsigned k = 0; k < n_cycles; ++k) {
-      for (unsigned r = 0; r < n_replicas; ++r) cycle_frames[r] = frames[r] + k;
-      on_group_cycle(first_cycle + k, cycle_frames, n_replicas);
-    }
-  }
+                               unsigned n_replicas, unsigned n_cycles) = 0;
+
+  /// True for an observer that must see each cycle as it completes: one
+  /// that intervenes in the SoC (SafeDE stalls a core) or reads another
+  /// observer's state for the current cycle (a tracer printing SafeDM's
+  /// verdict). MpSoc asks once, in add_observer, and then delivers one
+  /// cycle per call. Pure sinks (SafeDM, DCLS) keep the default.
+  virtual bool needs_per_cycle() const { return false; }
 };
+
+/// on_group_cycles for observers that only understand the paper's pair:
+/// CHECKs a 2-replica group, then calls observer.on_cycle(cycle, frame0,
+/// frame1) for each cycle.
+template <class PairObserver>
+void deliver_pair_cycles(PairObserver& observer, u64 first_cycle,
+                         const core::CoreTapFrame* const* frames, unsigned n_replicas,
+                         unsigned n_cycles) {
+  SAFEDM_CHECK_MSG(n_replicas == 2, "observer only handles 2-replica groups");
+  for (unsigned k = 0; k < n_cycles; ++k)
+    observer.on_cycle(first_cycle + k, frames[0][k], frames[1][k]);
+}
 
 class MpSoc {
  public:
   explicit MpSoc(const SocConfig& config);
 
   unsigned num_cores() const { return static_cast<unsigned>(cores_.size()); }
-  /// Legacy alias from the pair era; every "pair" is now a group.
-  unsigned num_pairs() const { return num_groups(); }
 
   // ---- group topology ------------------------------------------------------
   unsigned num_groups() const { return static_cast<unsigned>(groups_.size()); }
@@ -211,12 +195,6 @@ class MpSoc {
   void load_redundant_group(unsigned group, const assembler::Program& program,
                             unsigned stagger_nops = 0, unsigned delayed_replica = 1);
 
-  /// Legacy alias (pair == 2-replica group).
-  void load_redundant_pair(unsigned pair, const assembler::Program& program,
-                           unsigned stagger_nops = 0, unsigned delayed_local = 1) {
-    load_redundant_group(pair, program, stagger_nops, delayed_local);
-  }
-
   /// Load two different programs onto pair 0 (diverse software use case).
   void load_distinct(const assembler::Program& program0, const assembler::Program& program1);
 
@@ -233,6 +211,7 @@ class MpSoc {
 
   core::Core& core(unsigned i);
   const core::Core& core(unsigned i) const;
+  /// Core `i`'s tap frame from the last step.
   const core::CoreTapFrame& frame(unsigned i) const;
   /// Number of prelude nops core `i` executes before its program.
   u64 prelude_commits(unsigned i) const;
@@ -246,11 +225,12 @@ class MpSoc {
   u64 cycle() const { return cycle_; }
   const SocConfig& config() const { return config_; }
 
-  /// Attach an observer to `group` (default: group 0).
+  /// Attach an observer to `group` (default: group 0). An observer that
+  /// needs per-cycle delivery pins the whole SoC to batches of one.
   void add_observer(CycleObserver* observer, unsigned group = 0);
 
-  /// Deliver any buffered observer cycles now (observer_batch > 1; no-op
-  /// otherwise). Safe mid-step — the buffer only ever holds completed
+  /// Deliver any buffered observer cycles now (no-op when none are
+  /// pending). Safe mid-step — the buffer only ever holds completed
   /// cycles — so an APB read always sees observers caught up through the
   /// previous cycle, exactly as per-cycle delivery would. const because
   /// delivery timing is not architectural SoC state.
@@ -278,6 +258,15 @@ class MpSoc {
   /// MMIO window forced onto the SoC's APB window.
   core::CoreConfig effective_core_config(unsigned group, unsigned replica) const;
 
+  /// frames_ index of core `i`'s ring slot `slot`.
+  std::size_t frame_index(unsigned i, unsigned slot) const {
+    return std::size_t{i} * config_.observer_batch + slot;
+  }
+  /// frames_ index of core `i`'s frame from the last step.
+  std::size_t last_frame_index(unsigned i) const {
+    return frame_index(i, (cursor_ == 0 ? config_.observer_batch : cursor_) - 1);
+  }
+
   /// Routes the APB window to the peripheral bus, everything else to RAM.
   class RoutingMemPort final : public MemoryPort {
    public:
@@ -302,6 +291,9 @@ class MpSoc {
   bus::ApbBus apb_;  // lint: no-snapshot(stateless address decode; devices snapshot themselves)
   std::unique_ptr<RoutingMemPort> mem_port_;  // lint: no-snapshot(stateless routing shim over memory_)
   std::vector<std::unique_ptr<core::Core>> cores_;
+  // Tap frames: one ring of config_.observer_batch slots per core. Cores
+  // step straight into slot cursor_; the slot written last is each core's
+  // frame (SoC state), the ones before it await observer delivery.
   std::vector<core::CoreTapFrame> frames_;
   std::vector<u64> prelude_commits_;
   // Normalized group topology (never empty after construction) and the
@@ -312,18 +304,15 @@ class MpSoc {
   std::vector<u64> core_data_base_;    // lint: no-snapshot(derived from groups_ + address map)
   // per group
   std::vector<std::vector<CycleObserver*>> observers_;  // lint: no-snapshot(observer wiring, re-attached by owner)
-  // Stable per-group frame pointer tables for group delivery (pointers
-  // into frames_ / obs_frames_, which never reallocate after the ctor).
-  std::vector<std::vector<const core::CoreTapFrame*>> group_frames_;  // lint: no-snapshot(derived wiring)
-  std::vector<std::vector<const core::CoreTapFrame*>> group_rings_;   // lint: no-snapshot(derived wiring)
   u64 cycle_ = 0;
 
-  // Batched observer delivery (config_.observer_batch > 1): completed
-  // cycles' frames accumulate per core, then flush in one on_cycles call.
-  // Delivery timing is not architectural state — a flush precedes every
-  // save/restore — hence mutable and unserialized: snapshot bytes are
-  // identical across observer_batch settings.
-  mutable std::vector<std::vector<core::CoreTapFrame>> obs_frames_;  // lint: no-snapshot(delivery buffer, flushed before save_state)
+  // Observer delivery: completed cycles stay pending in the rings until
+  // batch_ of them are (or the ring ends, or a flush point comes). Delivery
+  // timing is not architectural state — a flush precedes every
+  // save/restore — so none of this is serialized, and snapshot bytes are
+  // identical across batch sizes.
+  unsigned batch_ = 1;   // lint: no-snapshot(observer_batch, or 1 while a per-cycle observer is attached)
+  unsigned cursor_ = 0;  // lint: no-snapshot(ring slot the next step writes; save/restore reach frames through it)
   mutable unsigned obs_pending_ = 0;  // lint: no-snapshot(flushed before save_state)
   mutable u64 obs_first_cycle_ = 0;   // lint: no-snapshot(flushed before save_state)
 };

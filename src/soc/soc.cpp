@@ -121,23 +121,10 @@ MpSoc::MpSoc(const SocConfig& config) : config_(config) {
       cores_.push_back(std::make_unique<core::Core>(effective_core_config(g, r), *mem_port_,
                                                     *ahb_, "core" + std::to_string(i)));
     }
-  frames_.resize(config_.num_cores);
+  frames_.resize(std::size_t{config_.num_cores} * config_.observer_batch);
+  batch_ = config_.observer_batch;
   prelude_commits_.assign(config_.num_cores, 0);
   observers_.resize(groups_.size());
-  if (config_.observer_batch > 1) {
-    obs_frames_.resize(config_.num_cores);
-    for (auto& ring : obs_frames_) ring.resize(config_.observer_batch);
-  }
-  // Stable per-group frame/ring pointer tables for group delivery
-  // (frames_/obs_frames_ never reallocate after this point).
-  group_frames_.resize(groups_.size());
-  group_rings_.resize(groups_.size());
-  for (unsigned g = 0; g < groups_.size(); ++g)
-    for (unsigned r = 0; r < groups_[g].size(); ++r) {
-      group_frames_[g].push_back(&frames_[group_first_[g] + r]);
-      if (config_.observer_batch > 1)
-        group_rings_[g].push_back(obs_frames_[group_first_[g] + r].data());
-    }
   // Cores come out of reset parked; loading a group brings it up.
   for (unsigned i = 0; i < config_.num_cores; ++i) park_core(i);
 }
@@ -163,8 +150,8 @@ const core::Core& MpSoc::core(unsigned i) const {
 }
 
 const core::CoreTapFrame& MpSoc::frame(unsigned i) const {
-  SAFEDM_CHECK(i < frames_.size());
-  return frames_[i];
+  SAFEDM_CHECK(i < cores_.size());
+  return frames_[last_frame_index(i)];
 }
 
 u64 MpSoc::prelude_commits(unsigned i) const {
@@ -180,6 +167,10 @@ u64 MpSoc::data_base(unsigned i) const {
 void MpSoc::add_observer(CycleObserver* observer, unsigned group) {
   SAFEDM_CHECK(observer != nullptr);
   SAFEDM_CHECK_MSG(group < observers_.size(), "observer group index out of range");
+  if (observer->needs_per_cycle()) {
+    flush_observers();
+    batch_ = 1;
+  }
   observers_[group].push_back(observer);
 }
 
@@ -296,45 +287,31 @@ void MpSoc::load_distinct(const assembler::Program& program0,
 
 void MpSoc::step() {
   ++cycle_;
-  for (unsigned i = 0; i < num_cores(); ++i) cores_[i]->step(frames_[i]);
+  for (unsigned i = 0; i < num_cores(); ++i) cores_[i]->step(frames_[frame_index(i, cursor_)]);
   ahb_->step();
-  if (config_.observer_batch <= 1) {
-    for (unsigned g = 0; g < num_groups(); ++g) {
-      const unsigned n = groups_[g].size();
-      if (n == 2) {
-        // Pairwise hook: the interface every pre-group observer speaks.
-        const unsigned first = group_first_[g];
-        for (CycleObserver* observer : observers_[g])
-          observer->on_cycle(cycle_, frames_[first], frames_[first + 1]);
-      } else {
-        for (CycleObserver* observer : observers_[g])
-          observer->on_group_cycle(cycle_, group_frames_[g].data(), n);
-      }
-    }
-    return;
-  }
-  // Batched delivery: buffer the completed cycle's frames; flush when the
-  // ring fills (or earlier via the APB/snapshot/run-exit flush points).
-  if (obs_pending_ == 0) obs_first_cycle_ = cycle_;
-  for (unsigned i = 0; i < num_cores(); ++i) obs_frames_[i][obs_pending_] = frames_[i];
-  if (++obs_pending_ == config_.observer_batch) flush_observers();
+  // The completed cycle joins the pending span (a core's APB access above
+  // has flushed the cycles before it). A span is delivered when it holds
+  // batch_ cycles or reaches the end of the rings.
+  if (obs_pending_++ == 0) obs_first_cycle_ = cycle_;
+  const bool ring_end = ++cursor_ == config_.observer_batch;
+  if (ring_end || obs_pending_ == batch_) flush_observers();
+  if (ring_end) cursor_ = 0;
 }
 
 void MpSoc::flush_observers() const {
   if (obs_pending_ == 0) return;
   const unsigned n = obs_pending_;
   obs_pending_ = 0;
+  // The pending span ends just before cursor_ (mid-step, cursor_ is the
+  // slot the current cycle is being written to).
+  const unsigned first_slot = cursor_ - n;
+  const core::CoreTapFrame* frames[kMaxGroupReplicas];
   for (unsigned g = 0; g < num_groups(); ++g) {
     const unsigned replicas = groups_[g].size();
-    if (replicas == 2) {
-      const unsigned first = group_first_[g];
-      for (CycleObserver* observer : observers_[g])
-        observer->on_cycles(obs_first_cycle_, obs_frames_[first].data(),
-                            obs_frames_[first + 1].data(), n);
-    } else {
-      for (CycleObserver* observer : observers_[g])
-        observer->on_group_cycles(obs_first_cycle_, group_rings_[g].data(), replicas, n);
-    }
+    for (unsigned r = 0; r < replicas; ++r)
+      frames[r] = &frames_[frame_index(group_first_[g] + r, first_slot)];
+    for (CycleObserver* observer : observers_[g])
+      observer->on_group_cycles(obs_first_cycle_, frames, replicas, n);
   }
 }
 
@@ -445,7 +422,7 @@ void MpSoc::save_state(StateWriter& w) const {
     }
   }
   w.put_u64(cycle_);
-  for (const core::CoreTapFrame& frame : frames_) save_frame(w, frame);
+  for (unsigned i = 0; i < num_cores(); ++i) save_frame(w, frames_[last_frame_index(i)]);
   for (u64 p : prelude_commits_) w.put_u64(p);
   memory_->save_state(w);
   l2_->save_state(w);
@@ -478,7 +455,7 @@ void MpSoc::restore_state(StateReader& r) {
     if (!config_ok) throw StateError("SoC group topology mismatch");
   }
   cycle_ = r.get_u64();
-  for (core::CoreTapFrame& frame : frames_) restore_frame(r, frame);
+  for (unsigned i = 0; i < num_cores(); ++i) restore_frame(r, frames_[last_frame_index(i)]);
   for (u64& p : prelude_commits_) p = r.get_u64();
   memory_->restore_state(r);
   l2_->restore_state(r);

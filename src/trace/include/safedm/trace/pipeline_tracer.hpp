@@ -29,8 +29,14 @@ class PipelineTracer final : public soc::CycleObserver {
   PipelineTracer(std::ostream& out, const TracerConfig& config,
                  const monitor::SafeDm* monitor = nullptr);
 
+  void on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                       unsigned n_replicas, unsigned n_cycles) override {
+    soc::deliver_pair_cycles(*this, first_cycle, frames, n_replicas, n_cycles);
+  }
+  /// The verdict column is the monitor's state for the current cycle.
+  bool needs_per_cycle() const override { return monitor_ != nullptr; }
   void on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
-                const core::CoreTapFrame& frame1) override;
+                const core::CoreTapFrame& frame1);
 
   u64 traced_cycles() const { return traced_; }
 

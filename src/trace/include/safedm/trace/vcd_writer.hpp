@@ -24,8 +24,14 @@ class VcdWriter final : public soc::CycleObserver {
   /// the first observed cycle.
   VcdWriter(std::ostream& out, const monitor::SafeDm* monitor = nullptr);
 
+  void on_group_cycles(u64 first_cycle, const core::CoreTapFrame* const* frames,
+                       unsigned n_replicas, unsigned n_cycles) override {
+    soc::deliver_pair_cycles(*this, first_cycle, frames, n_replicas, n_cycles);
+  }
+  /// The verdict signals are the monitor's state for the current cycle.
+  bool needs_per_cycle() const override { return monitor_ != nullptr; }
   void on_cycle(u64 cycle, const core::CoreTapFrame& frame0,
-                const core::CoreTapFrame& frame1) override;
+                const core::CoreTapFrame& frame1);
 
   /// Number of value changes written (test/diagnostic aid).
   u64 changes_written() const { return changes_; }

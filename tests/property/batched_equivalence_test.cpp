@@ -2,7 +2,9 @@
 // bit-identical to per-cycle on_cycle delivery — same verdict trail, same
 // counters, same IRQ timing, and byte-identical serialized state — no
 // matter where the batch boundaries fall, which compare kernel runs, or
-// whether a snapshot/restore lands mid-stream. Scenarios sweep compare
+// whether a snapshot/restore lands mid-stream. Both also match the
+// exhaustive (incremental_compare = false) per-cycle oracle on the verdict
+// trail, the counters and the nodiv/DS/IS histograms. Scenarios sweep compare
 // modes, IS modes, port counts 1-3, and depths {4, 8, 64, 128, 3, 12}
 // (at 3 and 12 the evicted ring slot is not the one written); depths
 // beyond 64 and flat-list mode exercise on_cycles' per-cycle fallback,
@@ -10,15 +12,20 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "safedm/common/rng.hpp"
 #include "safedm/common/state.hpp"
+#include "safedm/safede/safede.hpp"
 #include "safedm/safedm/monitor.hpp"
 #include "safedm/safedm/simd.hpp"
 #include "safedm/soc/soc.hpp"
+#include "safedm/trace/pipeline_tracer.hpp"
+#include "safedm/trace/vcd_writer.hpp"
 #include "safedm/workloads/workloads.hpp"
 
 namespace safedm::monitor {
@@ -125,6 +132,26 @@ std::vector<u8> monitor_bytes(const SafeDm& dm) {
   return std::move(w).take();
 }
 
+std::vector<u8> histogram_bytes(const Histogram& h) {
+  StateWriter w;
+  h.save_state(w);
+  return std::move(w).take();
+}
+
+void expect_matches_oracle(const SafeDm& oracle, const SafeDm& dm) {
+  const auto& co = oracle.counters();
+  const auto& cd = dm.counters();
+  EXPECT_EQ(co.monitored_cycles, cd.monitored_cycles);
+  EXPECT_EQ(co.nodiv_cycles, cd.nodiv_cycles);
+  EXPECT_EQ(co.ds_match_cycles, cd.ds_match_cycles);
+  EXPECT_EQ(co.is_match_cycles, cd.is_match_cycles);
+  EXPECT_EQ(co.zero_stag_cycles, cd.zero_stag_cycles);
+  EXPECT_EQ(co.interrupts, cd.interrupts);
+  EXPECT_EQ(histogram_bytes(oracle.nodiv_history()), histogram_bytes(dm.nodiv_history()));
+  EXPECT_EQ(histogram_bytes(oracle.ds_history()), histogram_bytes(dm.ds_history()));
+  EXPECT_EQ(histogram_bytes(oracle.is_history()), histogram_bytes(dm.is_history()));
+}
+
 class BatchedEquivalence : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(BatchedEquivalence, TrailCountersAndStateMatchPerCycleDelivery) {
@@ -135,13 +162,20 @@ TEST_P(BatchedEquivalence, TrailCountersAndStateMatchPerCycleDelivery) {
   constexpr unsigned kSnapshotCycle = 1500;
   const Streams s = scripted_streams(scenario.seed * 0x9E3779B97F4A7C15ULL + 99, kCycles);
 
-  SafeDm ref(config);  // per-cycle reference
-  SafeDm bat(config);  // batched, random chunk sizes
-  std::vector<bool> ref_trail, bat_trail;
+  SafeDmConfig exhaustive = config;
+  exhaustive.incremental_compare = false;
+  SafeDm oracle(exhaustive);  // per-cycle, exhaustive compare
+  SafeDm ref(config);         // per-cycle reference
+  SafeDm bat(config);         // batched, random chunk sizes
+  std::vector<bool> oracle_trail, ref_trail, bat_trail;
+  oracle.set_verdict_trail(&oracle_trail);
   ref.set_verdict_trail(&ref_trail);
   bat.set_verdict_trail(&bat_trail);
-  for (unsigned cycle = 0; cycle < kCycles; ++cycle)
+  for (unsigned cycle = 0; cycle < kCycles; ++cycle) {
+    oracle.on_cycle(cycle, s.f0[cycle], s.f1[cycle]);
     ref.on_cycle(cycle, s.f0[cycle], s.f1[cycle]);
+  }
+  EXPECT_EQ(oracle_trail, ref_trail);
 
   // Deliver the identical stream to `bat` in randomly sized batches
   // (occasionally longer than the 64-cycle internal chunk), checking the
@@ -179,8 +213,10 @@ TEST_P(BatchedEquivalence, TrailCountersAndStateMatchPerCycleDelivery) {
     }
   }
 
+  oracle.set_verdict_trail(nullptr);
   ref.set_verdict_trail(nullptr);
   bat.set_verdict_trail(nullptr);
+  EXPECT_EQ(oracle_trail, bat_trail);
 
   const auto& cr = ref.counters();
   const auto& cb = bat.counters();
@@ -194,6 +230,12 @@ TEST_P(BatchedEquivalence, TrailCountersAndStateMatchPerCycleDelivery) {
   const std::vector<u8> want = monitor_bytes(ref);
   EXPECT_EQ(want, monitor_bytes(bat));
   EXPECT_EQ(want, monitor_bytes(restored));
+
+  // Against the oracle, with any open no-diversity episode flushed into
+  // the histograms.
+  for (SafeDm* dm : {&oracle, &ref, &bat}) dm->finalize();
+  expect_matches_oracle(oracle, ref);
+  expect_matches_oracle(oracle, bat);
 
   // The eligible configurations (raw and CRC alike) must actually have
   // taken the chunked fast path (fast-path steps dominate once armed), not
@@ -351,6 +393,73 @@ TEST(SocObserverBatch, SnapshotAndFinalStateMatchPerCycleDelivery) {
   const std::vector<u8> want = rig_bytes(soc1, dm1);
   EXPECT_EQ(want, rig_bytes(soc8, dm8));
   EXPECT_EQ(want, rig_bytes(socr, dmr));
+}
+
+// SafeDE stalls the trail core as the distance shrinks, so it declares
+// per-cycle delivery: at observer_batch 32 the SoC must still hand it every
+// cycle as it completes, giving the same run, stalls and bytes as batch 1.
+TEST(SocObserverBatch, SafeDeEnforcesPerCycleUnderBatchedConfig) {
+  const assembler::Program program = workloads::build("bitcount", 1);
+  const auto run = [&](unsigned batch) {
+    soc::SocConfig cfg;
+    cfg.observer_batch = batch;
+    soc::MpSoc soc{cfg};
+    safede::SafeDe enforcement(safede::SafeDeConfig{}, soc);
+    SafeDmConfig dmc;
+    dmc.start_enabled = true;
+    SafeDm dm(dmc);
+    soc.add_observer(&enforcement);
+    soc.add_observer(&dm);
+    soc.load_redundant(program);
+    soc.run(30'000'000);
+    EXPECT_TRUE(soc.all_halted());
+    StateWriter w;
+    soc.save_state(w);
+    enforcement.save_state(w);
+    dm.save_state(w);
+    return std::make_tuple(soc.cycle(), enforcement.stats(), std::move(w).take());
+  };
+  const auto [cycles1, stats1, bytes1] = run(1);
+  const auto [cycles32, stats32, bytes32] = run(32);
+  ASSERT_GT(stats1.interventions, 0u) << "the rig must make SafeDE stall";
+  EXPECT_EQ(cycles1, cycles32);
+  EXPECT_EQ(stats1.stall_cycles, stats32.stall_cycles);
+  EXPECT_EQ(stats1.interventions, stats32.interventions);
+  EXPECT_EQ(stats1.min_observed_diff, stats32.min_observed_diff);
+  EXPECT_EQ(bytes1, bytes32);
+}
+
+// Tracers given a monitor print its verdict for the current cycle, so they
+// declare per-cycle delivery: their text and VCD must not depend on
+// observer_batch.
+TEST(SocObserverBatch, TracersReadingTheMonitorMatchPerCycleDelivery) {
+  const assembler::Program program = workloads::build("cubic", 1);
+  const auto run = [&](unsigned batch) {
+    soc::SocConfig cfg;
+    cfg.observer_batch = batch;
+    soc::MpSoc soc{cfg};
+    SafeDmConfig dmc;
+    dmc.start_enabled = true;
+    SafeDm dm(dmc);
+    soc.add_observer(&dm);
+    std::ostringstream text;
+    std::ostringstream vcd;
+    trace::TracerConfig tracer_config;
+    tracer_config.only_when_lacking_diversity = true;
+    trace::PipelineTracer tracer(text, tracer_config, &dm);
+    trace::VcdWriter vcd_writer(vcd, &dm);
+    soc.add_observer(&tracer);
+    soc.add_observer(&vcd_writer);
+    soc.load_redundant(program);
+    soc.run(2'000'000);
+    EXPECT_TRUE(soc.all_halted());
+    EXPECT_GT(tracer.traced_cycles(), 0u) << "the rig must show no-diversity cycles";
+    return std::make_pair(text.str(), vcd.str());
+  };
+  const auto [text1, vcd1] = run(1);
+  const auto [text32, vcd32] = run(32);
+  EXPECT_TRUE(text1 == text32) << "pipeline trace differs between batch 1 and 32";
+  EXPECT_TRUE(vcd1 == vcd32) << "VCD differs between batch 1 and 32";
 }
 
 }  // namespace

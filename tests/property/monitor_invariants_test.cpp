@@ -52,7 +52,12 @@ TEST_P(MonitorInvariants, HoldOnEveryRun) {
     SafeDm* dm = nullptr;
     u64 violations = 0;
     u64 nodiv_seen = 0;
-    void on_cycle(u64, const core::CoreTapFrame& f0, const core::CoreTapFrame& f1) override {
+    bool needs_per_cycle() const override { return true; }  // reads the live verdict
+    void on_group_cycles(u64 first, const core::CoreTapFrame* const* frames, unsigned n,
+                         unsigned n_cycles) override {
+      soc::deliver_pair_cycles(*this, first, frames, n, n_cycles);
+    }
+    void on_cycle(u64, const core::CoreTapFrame& f0, const core::CoreTapFrame& f1) {
       if (!dm->lacking_diversity_now()) return;
       ++nodiv_seen;
       if (!(f0.stage == f1.stage)) ++violations;

@@ -117,7 +117,12 @@ TEST(SafeDmIntegration, NoFalseNegativesProperty) {
   struct Checker : soc::CycleObserver {
     SafeDm* dm = nullptr;
     u64 violations = 0;
-    void on_cycle(u64, const core::CoreTapFrame& f0, const core::CoreTapFrame& f1) override {
+    bool needs_per_cycle() const override { return true; }  // reads the live verdict
+    void on_group_cycles(u64 first, const core::CoreTapFrame* const* frames, unsigned n,
+                         unsigned n_cycles) override {
+      soc::deliver_pair_cycles(*this, first, frames, n, n_cycles);
+    }
+    void on_cycle(u64, const core::CoreTapFrame& f0, const core::CoreTapFrame& f1) {
       if (!dm->lacking_diversity_now()) return;
       // SafeDM said "no diversity" this cycle: the *current* frames'
       // monitored fields must agree (a current difference would make DS or
@@ -182,7 +187,12 @@ TEST(SafeDmIntegration, IdenticalCcfWindowEqualsNoDivWindow) {
     SafeDm* dm = nullptr;
     std::vector<bool> flagged;
     std::vector<bool> frames_equal;
-    void on_cycle(u64, const core::CoreTapFrame& f0, const core::CoreTapFrame& f1) override {
+    bool needs_per_cycle() const override { return true; }  // reads the live verdict
+    void on_group_cycles(u64 first, const core::CoreTapFrame* const* frames, unsigned n,
+                         unsigned n_cycles) override {
+      soc::deliver_pair_cycles(*this, first, frames, n, n_cycles);
+    }
+    void on_cycle(u64, const core::CoreTapFrame& f0, const core::CoreTapFrame& f1) {
       flagged.push_back(dm->lacking_diversity_now());
       frames_equal.push_back(f0.stage == f1.stage);
     }

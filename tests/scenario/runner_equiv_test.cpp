@@ -73,6 +73,22 @@ TEST(RunnerEquiv, SweepFalseMatchesSingleRun) {
   EXPECT_EQ(result.outcome.cycles, direct.cycles);
 }
 
+// The runner batches SafeDM's delivery unless the scenario sets a batch;
+// an explicit 1 (per-cycle delivery) must survive the lowering as written.
+TEST(RunnerEquiv, ObserverBatchDefaultsTo32AndHonorsExplicitOne) {
+  const auto lowered_batch = [](const std::string& soc_section) {
+    const Scenario scenario = parse_scenario(parse_json(R"({
+      "schema": "safedm.scenario/v1",
+      "name": "batch",)" + soc_section + R"(
+      "run": { "workload": "bitcount", "sweep": false }
+    })"), "inline");
+    return build_run_spec(scenario).soc.observer_batch;
+  };
+  EXPECT_EQ(lowered_batch(""), 32u);
+  EXPECT_EQ(lowered_batch(R"( "soc": { "observer_batch": 1 },)"), 1u);
+  EXPECT_EQ(lowered_batch(R"( "soc": { "observer_batch": 8 },)"), 8u);
+}
+
 TEST(RunnerEquiv, FailedBoundReportsDetail) {
   const Scenario scenario = parse_scenario(parse_json(R"({
     "schema": "safedm.scenario/v1",

@@ -18,8 +18,8 @@ SocConfig quad() {
 
 TEST(QuadCore, TwoPairsRunToCompletion) {
   MpSoc soc{quad()};
-  soc.load_redundant_pair(0, workloads::build("bsort", 1));
-  soc.load_redundant_pair(1, workloads::build("isqrt", 1));
+  soc.load_redundant_group(0, workloads::build("bsort", 1));
+  soc.load_redundant_group(1, workloads::build("isqrt", 1));
   soc.run(50'000'000);
   ASSERT_TRUE(soc.all_halted());
   // Pair 0 cores agree, pair 1 cores agree, the pairs differ.
@@ -39,8 +39,8 @@ TEST(QuadCore, PerPairMonitorsSeeOnlyTheirPair) {
   monitor::SafeDm dm0(dm_config), dm1(dm_config);
   soc.add_observer(&dm0, 0);
   soc.add_observer(&dm1, 1);
-  soc.load_redundant_pair(0, workloads::build("bitcount", 1));
-  soc.load_redundant_pair(1, workloads::build("md5", 1));
+  soc.load_redundant_group(0, workloads::build("bitcount", 1));
+  soc.load_redundant_group(1, workloads::build("md5", 1));
   soc.run(50'000'000);
   dm0.finalize();
   dm1.finalize();
@@ -54,7 +54,7 @@ TEST(QuadCore, PerPairMonitorsSeeOnlyTheirPair) {
 
 TEST(QuadCore, UnloadedPairStaysParked) {
   MpSoc soc{quad()};
-  soc.load_redundant_pair(0, workloads::build("fac", 1));
+  soc.load_redundant_group(0, workloads::build("fac", 1));
   soc.run(50'000'000);
   ASSERT_TRUE(soc.all_halted());
   // Parked cores halted immediately with ~1 committed instruction.
@@ -75,8 +75,8 @@ TEST(QuadCore, CrossPairInterferencePerturbsTiming) {
   }
   {
     MpSoc soc{quad()};
-    soc.load_redundant_pair(0, workloads::build("matrix1", 1));
-    soc.load_redundant_pair(1, workloads::build("fft", 1));
+    soc.load_redundant_group(0, workloads::build("matrix1", 1));
+    soc.load_redundant_group(1, workloads::build("fft", 1));
     u64 halt0 = 0;
     while (!soc.all_halted() && soc.cycle() < 50'000'000) {
       soc.step();

@@ -121,8 +121,9 @@ TEST(MpSoc, ArbiterBiasChangesWhoWins) {
 TEST(MpSoc, ObserverSeesEveryCycle) {
   struct Counter : CycleObserver {
     u64 calls = 0;
-    void on_cycle(u64, const core::CoreTapFrame&, const core::CoreTapFrame&) override {
-      ++calls;
+    void on_group_cycles(u64, const core::CoreTapFrame* const*, unsigned,
+                         unsigned n_cycles) override {
+      calls += n_cycles;
     }
   } counter;
   MpSoc soc{SocConfig{}};
