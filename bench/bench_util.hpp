@@ -1,9 +1,8 @@
 // Shared pieces of the bench executables:
 //
-//   - the redundant-run experiment harness itself now lives in
-//     src/scenario (safedm/scenario/redundant.hpp) so the JSON scenario
-//     runner and the bench drivers execute the same code path; this
-//     header re-exports it under the historical safedm::bench names,
+//   - the redundant-run experiment harness itself lives in src/scenario
+//     (safedm/scenario/redundant.hpp), where the scenario runner uses it;
+//     this header re-exports the pieces the remaining drivers call,
 //   - hwvar-style repetition statistics (Measurement),
 //   - checked CLI numeric parsing: every bench flag goes through
 //     parse_u64/parse_u32/parse_double, which reject non-numeric,
@@ -25,9 +24,7 @@
 
 namespace safedm::bench {
 
-using scenario::RunOutcome;
 using scenario::RunSpec;
-using scenario::max_over_runs;
 using scenario::run_redundant;
 
 /// Process-wide bench pool (sized by SAFEDM_BENCH_THREADS / hardware).

@@ -21,7 +21,9 @@
 //   --no-single        skip the single-fault control model
 //   --smoke            exit non-zero unless the campaign invariants hold:
 //                      (a) single-fault injections never classify as CCF,
-//                      (b) per workload, no-div-class CCF rate >= diverse
+//                      (b) per workload, no-div-class CCF rate >= diverse,
+//                      (c) no identical-fault injection at a no-div cycle
+//                      is ever detected
 //
 // Fleet mode (sharded multi-process campaigns, merged by safedm-merge):
 //   --shard=i/N        run only shard i of N (0-based), streaming durable
@@ -268,6 +270,9 @@ int main(int argc, char** argv) {
   // paper's Section III-B claim: SafeDM's no-diversity verdict marks the
   // cycles where an identical double fault is most likely to escape as a
   // CCF, so the no-div-class rate must dominate the diverse-class rate.
+  // (c) is that claim's hard edge: at a no-diversity cycle an identical
+  // double fault lands on identical state, so output comparison can never
+  // see the two results differ.
   int failures = 0;
   for (const WorkloadReport& wr : report.workloads) {
     if (wr.nodiv_pool == 0) {
@@ -288,6 +293,13 @@ int main(int argc, char** argv) {
     if (wr.identical[1].ccf_rate() < wr.identical[0].ccf_rate()) {
       std::fprintf(stderr, "SMOKE FAIL %s: no-div CCF rate %.3f < diverse CCF rate %.3f\n",
                    wr.name.c_str(), wr.identical[1].ccf_rate(), wr.identical[0].ccf_rate());
+      ++failures;
+    }
+    if (wr.identical[1].count(Outcome::kDetected) != 0) {
+      std::fprintf(stderr, "SMOKE FAIL %s: %llu identical-fault injections at no-div cycles "
+                           "were detected\n",
+                   wr.name.c_str(),
+                   static_cast<unsigned long long>(wr.identical[1].count(Outcome::kDetected)));
       ++failures;
     }
   }

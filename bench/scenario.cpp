@@ -6,7 +6,9 @@
 //
 // Usage: bench_scenario [options] <path>...
 //   <path>             a scenario .json file, or a directory executed as a
-//                      corpus (every *.json inside, sorted, recursively)
+//                      corpus (every *.json inside, sorted, recursively);
+//                      a file with "cells" runs each cell as a scenario and
+//                      then prints one table row per cell
 //   --check-only       parse + validate only; skip the simulations
 //   --json=PATH        report path (default BENCH_scenario.json)
 //   --export-fuzz=DIR  wrap every .fuzz input under DIR into a replayable
@@ -209,6 +211,70 @@ int run_export(const fs::path& corpus_dir, const fs::path& out_dir) {
 
 // ---- scenario execution ----------------------------------------------------
 
+/// The one table printer: a row per cell, the cell's own keys first (the
+/// union over the file's cells, in first-seen order), then the observed
+/// run counters, with distance columns when the cells track distance.
+void print_cell_table(const fs::path& file, const std::vector<scenario::Scenario>& cells,
+                      const std::vector<scenario::ScenarioResult>& results) {
+  std::vector<std::string> keys;
+  for (const scenario::Scenario& cell : cells)
+    for (const auto& [key, value] : cell.cell_keys)
+      if (std::find(keys.begin(), keys.end(), key) == keys.end()) keys.push_back(key);
+  bool distance = false;
+  for (const scenario::Scenario& cell : cells) distance |= cell.monitor.track_distance;
+
+  std::vector<std::string> header = keys;
+  for (const char* counter : {"cycles", "zero_stag", "nodiv", "ds_match", "is_match",
+                              "committed0"})
+    header.emplace_back(counter);
+  if (distance)
+    for (const char* counter : {"distance_min", "distance_mean", "distance_max"})
+      header.emplace_back(counter);
+
+  std::vector<std::vector<std::string>> rows;
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    std::vector<std::string> row;
+    for (const std::string& key : keys) {
+      std::string text = "-";
+      for (const auto& [k, value] : cells[i].cell_keys)
+        if (k == key) text = value;
+      row.push_back(text);
+    }
+    const scenario::RunOutcome& out = results[i].outcome;
+    const auto num = [&](u64 v) { return results[i].ran_redundant ? std::to_string(v) : "-"; };
+    for (const u64 v : {out.cycles, out.zero_stag, out.nodiv, out.ds_match, out.is_match,
+                        out.committed0})
+      row.push_back(num(v));
+    if (distance) {
+      const bool tracked = results[i].ran_redundant && cells[i].monitor.track_distance;
+      char mean[32];
+      std::snprintf(mean, sizeof mean, "%.1f",
+                    out.monitored_cycles ? static_cast<double>(out.distance_sum) /
+                                               static_cast<double>(out.monitored_cycles)
+                                         : 0.0);
+      row.push_back(tracked ? std::to_string(out.distance_min) : "-");
+      row.push_back(tracked ? mean : "-");
+      row.push_back(tracked ? std::to_string(out.distance_max) : "-");
+    }
+    rows.push_back(std::move(row));
+  }
+
+  std::vector<std::size_t> width(header.size());
+  for (std::size_t c = 0; c < header.size(); ++c) {
+    width[c] = header[c].size();
+    for (const auto& row : rows) width[c] = std::max(width[c], row[c].size());
+  }
+  const auto print_row = [&](const std::vector<std::string>& row) {
+    for (std::size_t c = 0; c < row.size(); ++c)
+      std::printf(c < keys.size() ? "%-*s " : " %*s", static_cast<int>(width[c]),
+                  row[c].c_str());
+    std::printf("\n");
+  };
+  std::printf("TABLE %s\n", file.string().c_str());
+  print_row(header);
+  for (const auto& row : rows) print_row(row);
+}
+
 void emit_result(bench::JsonWriter& json, const scenario::ScenarioResult& result) {
   json.begin_object();
   json.prop("name", result.name);
@@ -226,6 +292,11 @@ void emit_result(bench::JsonWriter& json, const scenario::ScenarioResult& result
     json.prop("is_match", out.is_match);
     json.prop("committed0", out.committed0);
     json.prop("committed1", out.committed1);
+    if (out.distance_min != ~u64{0}) {  // set only by a run that tracked distance
+      json.prop("distance_min", out.distance_min);
+      json.prop("distance_max", out.distance_max);
+      json.prop("distance_sum", out.distance_sum);
+    }
     json.end_object();
   }
   if (result.ran_faults) {
@@ -310,29 +381,42 @@ int main(int argc, char** argv) {
   }
 
   unsigned failed = 0;
+  std::size_t total = 0;
   std::vector<scenario::ScenarioResult> results;
   for (const fs::path& file : files) {
-    scenario::Scenario scn;
+    std::vector<scenario::Scenario> scns;
     try {
-      scn = scenario::load_scenario_file(file.string());
+      scns = scenario::load_scenario_file(file.string());
     } catch (const scenario::ScenarioError& error) {
       std::fprintf(stderr, "%s\n", error.what());
       ++failed;
+      ++total;
       continue;
     }
+    total += scns.size();
     if (check_only) {
-      std::printf("OK %s (%s)\n", scn.name.c_str(), file.string().c_str());
+      for (const scenario::Scenario& scn : scns)
+        std::printf("OK %s (%s)\n", scn.name.c_str(), file.string().c_str());
       continue;
     }
-    std::printf("SCENARIO %s (%s)\n", scn.name.c_str(), file.string().c_str());
+    // A file's cells are independent runs; they share the simulation pool
+    // (nested sweeps run inline) and report in cell order.
+    std::vector<scenario::ScenarioResult> file_results(scns.size());
+    scenario::shared_pool().parallel_for(scns.size(), [&](std::size_t i) {
+      file_results[i] = scenario::run_scenario(scns[i]);
+    });
+    for (const scenario::ScenarioResult& result : file_results) {
+      std::printf("SCENARIO %s (%s)\n", result.name.c_str(), file.string().c_str());
+      for (const scenario::CheckResult& check : result.checks)
+        std::printf("  %s %s%s%s\n", check.pass ? "PASS" : "FAIL", check.name.c_str(),
+                    check.detail.empty() ? "" : ": ", check.detail.c_str());
+      if (!result.passed()) ++failed;
+    }
+    if (std::any_of(scns.begin(), scns.end(),
+                    [](const scenario::Scenario& scn) { return !scn.cell_keys.empty(); }))
+      print_cell_table(file, scns, file_results);
     std::fflush(stdout);
-    const scenario::ScenarioResult result = scenario::run_scenario(scn);
-    for (const scenario::CheckResult& check : result.checks)
-      std::printf("  %s %s%s%s\n", check.pass ? "PASS" : "FAIL", check.name.c_str(),
-                  check.detail.empty() ? "" : ": ", check.detail.c_str());
-    if (!result.passed()) ++failed;
-    results.push_back(result);
-    std::fflush(stdout);
+    for (scenario::ScenarioResult& result : file_results) results.push_back(std::move(result));
   }
 
   if (!check_only) {
@@ -353,9 +437,9 @@ int main(int argc, char** argv) {
   }
 
   if (failed != 0) {
-    std::fprintf(stderr, "%u of %zu scenarios failed\n", failed, files.size());
+    std::fprintf(stderr, "%u of %zu scenarios failed\n", failed, total);
     return 1;
   }
-  std::printf("all %zu scenarios passed\n", files.size());
+  std::printf("all %zu scenarios passed\n", total);
   return 0;
 }

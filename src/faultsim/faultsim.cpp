@@ -5,7 +5,6 @@
 
 #include "safedm/common/check.hpp"
 #include "safedm/common/log.hpp"
-#include "safedm/common/rng.hpp"
 #include "safedm/common/state.hpp"
 #include "safedm/safedm/monitor.hpp"
 #include "safedm/soc/soc.hpp"
@@ -257,17 +256,6 @@ InjectionResult inject_single_fault_timed(const assembler::Program& program,
                         golden_checksum, max_cycles, fork_from);
 }
 
-Outcome inject_identical_fault(const assembler::Program& program, const Injection& injection,
-                               u64 golden_checksum, u64 max_cycles) {
-  return inject_identical_fault_timed(program, injection, golden_checksum, max_cycles).outcome;
-}
-
-Outcome inject_single_fault(const assembler::Program& program, const Injection& injection,
-                            unsigned target_core, u64 golden_checksum, u64 max_cycles) {
-  return inject_single_fault_timed(program, injection, target_core, golden_checksum, max_cycles)
-      .outcome;
-}
-
 void sanitize_targets(std::vector<u8>& registers, std::vector<unsigned>& bits) {
   std::erase_if(registers, [](u8 reg) {
     const bool bad = reg < 1 || reg > 31;
@@ -280,57 +268,6 @@ void sanitize_targets(std::vector<u8>& registers, std::vector<unsigned>& bits) {
     if (bad) SAFEDM_WARN("faultsim: dropping injection bit " << bit << " (valid: 0..63)");
     return bad;
   });
-}
-
-u64 CampaignResult::total(bool nodiv_class) const {
-  u64 sum = 0;
-  for (u64 c : counts[nodiv_class ? 1 : 0]) sum += c;
-  return sum;
-}
-
-double CampaignResult::ccf_rate(bool nodiv_class) const {
-  const u64 n = total(nodiv_class);
-  if (n == 0) return 0.0;
-  return static_cast<double>(counts[nodiv_class ? 1 : 0][static_cast<int>(Outcome::kCcf)]) / n;
-}
-
-CampaignResult run_campaign(const assembler::Program& program, const CampaignConfig& raw_config,
-                            const monitor::SafeDmConfig& dm_config) {
-  CampaignConfig config = raw_config;
-  sanitize_targets(config.registers, config.bits);
-  const ReferenceTrace trace = record_reference(program, dm_config);
-
-  // Collect candidate injection cycles for each verdict class. Skip the
-  // first ~100 cycles (startup) so the flipped registers are live.
-  std::vector<u64> diverse_cycles, nodiv_cycles;
-  for (u64 c = 100; c < trace.nodiv.size(); ++c)
-    (trace.nodiv[c] ? nodiv_cycles : diverse_cycles).push_back(c + 1);
-
-  Xoshiro256 rng(config.seed);
-  const auto sample = [&](std::vector<u64>& pool, unsigned count) {
-    std::vector<u64> picked;
-    for (unsigned i = 0; i < count && !pool.empty(); ++i)
-      picked.push_back(pool[rng.below(pool.size())]);
-    return picked;
-  };
-
-  CampaignResult result;
-  const u64 budget = trace.cycles * 4 + 100'000;
-  for (int cls = 0; cls < 2; ++cls) {
-    auto& pool = cls == 1 ? nodiv_cycles : diverse_cycles;
-    for (u64 cycle : sample(pool, config.samples_per_class)) {
-      for (u8 reg : config.registers) {
-        for (unsigned bit : config.bits) {
-          const Outcome outcome =
-              inject_identical_fault(program, Injection{cycle, reg, bit},
-                                     trace.golden_checksum, budget);
-          ++result.counts[cls][static_cast<int>(outcome)];
-          ++result.injections;
-        }
-      }
-    }
-  }
-  return result;
 }
 
 }  // namespace safedm::faultsim

@@ -1,11 +1,11 @@
 // Parallel, deterministic fault-injection campaign engine.
 //
-// Scales the serial `run_campaign` proof-of-concept into a statistically
-// meaningful experiment: the full injection space (workload × injection
-// cycle × register × bit, for both the identical-CCF and the single-fault
-// model) is enumerated up front into a flat site list, fanned out over a
-// ThreadPool, and aggregated *by site index* afterwards — so the report is
-// bit-identical regardless of thread count or completion order. Every
+// The one campaign API over the faultsim.hpp injection primitives. The
+// full injection space (workload × injection cycle × register × bit, for
+// both the identical-CCF and the single-fault model) is enumerated up
+// front into a flat site list, fanned out over a ThreadPool, and
+// aggregated *by site index* afterwards — so the report is bit-identical
+// regardless of thread count or completion order. Every
 // random decision (cycle sampling, single-fault target core) derives from
 // `hash(seed, workload, site)`, never from shared-RNG draw order.
 //

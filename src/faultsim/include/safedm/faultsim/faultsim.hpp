@@ -1,4 +1,4 @@
-// Common-cause-failure (CCF) fault-injection campaign.
+// Common-cause-failure (CCF) fault-injection primitives.
 //
 // Validates the premise of the paper (Section III-B): when two redundant
 // cores hold *identical* state, a single physical fault affecting both
@@ -7,13 +7,13 @@
 // a CCF. When the cores are diverse, the same double fault lands on
 // different state and the errors differ, so comparison catches them.
 //
-// The campaign:
+// This header holds one injection experiment's pieces:
 //   1. a reference run records SafeDM's per-cycle verdict and the golden
-//      result checksum;
-//   2. injection runs flip the same register bit in both cores at a chosen
-//      cycle and classify the outcome;
-//   3. outcomes are aggregated by the SafeDM verdict at the injection
-//      cycle, yielding the empirical CCF rate per verdict class.
+//      result checksum (plus, optionally, restorable checkpoints);
+//   2. an injection run flips the same register bit in both cores (or one
+//      bit in one core) at a chosen cycle and classifies the outcome.
+// Sampling injection cycles per verdict class and aggregating outcomes is
+// the campaign engine's job (campaign.hpp, `run_engine`).
 #pragma once
 
 #include <optional>
@@ -117,36 +117,10 @@ InjectionResult inject_single_fault_timed(const assembler::Program& program,
                                           u64 max_cycles = kReferenceBudget,
                                           const ReferenceTrace* fork_from = nullptr);
 
-/// Outcome-only conveniences (historical API).
-Outcome inject_identical_fault(const assembler::Program& program, const Injection& injection,
-                               u64 golden_checksum, u64 max_cycles);
-Outcome inject_single_fault(const assembler::Program& program, const Injection& injection,
-                            unsigned target_core, u64 golden_checksum, u64 max_cycles);
-
-struct CampaignConfig {
-  unsigned samples_per_class = 12;  // injection cycles sampled per verdict class
-  std::vector<u8> registers{6, 9, 18};  // t1, s1, s2: live in most workloads
-  std::vector<unsigned> bits{2, 17, 40};
-  u64 seed = 1;
-};
-
 /// Drop injection targets the fault model cannot express: register x0 (the
 /// hardwired zero — a flip there is a no-op that would be miscounted as
 /// masked), registers >= 32, and bits >= 64. Logs a warning per dropped
-/// entry. Used by `run_campaign` and the campaign engine.
+/// entry. Used by the campaign engine (campaign.hpp).
 void sanitize_targets(std::vector<u8>& registers, std::vector<unsigned>& bits);
-
-struct CampaignResult {
-  // [verdict: 0 = diverse cycle, 1 = no-diversity cycle][outcome]
-  u64 counts[2][5] = {};
-  u64 injections = 0;
-
-  u64 total(bool nodiv_class) const;
-  double ccf_rate(bool nodiv_class) const;
-};
-
-/// Full campaign over one workload.
-CampaignResult run_campaign(const assembler::Program& program, const CampaignConfig& config,
-                            const monitor::SafeDmConfig& dm_config = {});
 
 }  // namespace safedm::faultsim

@@ -4,10 +4,10 @@
 // prelude on one core, monitor armed once both cores execute the program,
 // max over repeated runs.
 //
-// Lifted out of bench/bench_util.hpp so the scenario runner and the bench
-// drivers execute the *same* code path — a `scenarios/table1_*.json`
-// replay is equivalent to the bench/table1 cell by construction, and the
-// equivalence test (tests/scenario/runner_equiv_test.cpp) pins it.
+// The scenario runner and the remaining bench drivers execute this *same*
+// code path, so a cell of `scenarios/table1.json` is equivalent to a
+// hand-built RunSpec by construction; the equivalence test
+// (tests/scenario/runner_equiv_test.cpp) pins the lowering.
 //
 // Every MpSoc run is fully independent, so the repeated-run and sweep
 // layers fan out over a process-wide ThreadPool. SAFEDM_BENCH_THREADS

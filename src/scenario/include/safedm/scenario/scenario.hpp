@@ -16,6 +16,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "safedm/faultsim/campaign.hpp"
@@ -182,6 +183,10 @@ struct Scenario {
   std::optional<FaultSection> faults;  // requires `run` (its workload)
   std::optional<FuzzSection> fuzz;
   ExpectSection expect;
+  /// For a scenario made from one of a file's "cells": that cell's own
+  /// leaf keys outside `expect`, as (dotted path, value text) in source
+  /// order. Empty for a single-scenario file.
+  std::vector<std::pair<std::string, std::string>> cell_keys;
 };
 
 /// Lower a parsed JSON document into a validated Scenario. `file` is only
@@ -189,8 +194,19 @@ struct Scenario {
 /// violation (one diagnostic per invocation, lint-style).
 Scenario parse_scenario(const JsonValue& root, const std::string& file);
 
-/// Read + parse + validate one scenario file. JSON syntax errors are
-/// reported through the same ScenarioError channel as schema errors.
-Scenario load_scenario_file(const std::string& path);
+/// Lower a whole file. Without "cells" that is the one scenario
+/// parse_scenario makes. With "cells" (a non-empty array of partial
+/// scenario objects) it is one scenario per cell: the document minus
+/// "cells", with the cell deep-merged over it (objects merge member by
+/// member, arrays and scalars replace), lowered by parse_scenario and
+/// named `<name>[<i>]`. A cell may not set "schema", "name" or "cells".
+/// Merged values keep their source lines, so a bad value in a cell is
+/// reported at the cell's line.
+std::vector<Scenario> parse_scenarios(const JsonValue& root, const std::string& file);
+
+/// Read + parse + validate one scenario file (see parse_scenarios). JSON
+/// syntax errors are reported through the same ScenarioError channel as
+/// schema errors.
+std::vector<Scenario> load_scenario_file(const std::string& path);
 
 }  // namespace safedm::scenario

@@ -4,6 +4,7 @@
 // ScenarioError carrying the offending value's source line — the contract
 // the negative-path tests pin is "one violation, one `file:line:`
 // diagnostic".
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -452,6 +453,43 @@ ExpectSection parse_expect(const Ctx& ctx, const JsonValue& v) {
   return expect;
 }
 
+/// Deep merge for "cells": objects merge member by member, and every
+/// other kind in `over` replaces what `base` held. A merged object takes
+/// `over`'s line, so a diagnostic about it points into the cell.
+JsonValue merge_json(JsonValue base, const JsonValue& over) {
+  if (!base.is_object() || !over.is_object()) return over;
+  for (const auto& [key, value] : over.members) {
+    auto it = std::find_if(base.members.begin(), base.members.end(),
+                           [&](const auto& member) { return member.first == key; });
+    if (it == base.members.end()) base.members.emplace_back(key, value);
+    else it->second = merge_json(std::move(it->second), value);
+  }
+  base.line = over.line;
+  return base;
+}
+
+/// A cell's own leaf keys as (dotted path, value text), skipping the
+/// `expect` pins and the description: the knobs that tell its row apart.
+void collect_leaves(const JsonValue& v, const std::string& path,
+                    std::vector<std::pair<std::string, std::string>>& out) {
+  if (v.is_object()) {
+    for (const auto& [key, value] : v.members) {
+      if (path.empty() && (key == "expect" || key == "description")) continue;
+      collect_leaves(value, path.empty() ? key : path + "." + key, out);
+    }
+    return;
+  }
+  std::string text;
+  if (v.is_array()) {
+    for (const JsonValue& item : v.items) text += (text.empty() ? "" : ",") + item.text;
+  } else if (v.is_bool()) {
+    text = v.boolean ? "true" : "false";
+  } else {
+    text = v.is_null() ? "null" : v.text;
+  }
+  out.emplace_back(path, std::move(text));
+}
+
 bool valid_name(const std::string& name) {
   if (name.empty() || name.size() > 128) return false;
   for (const char c : name) {
@@ -511,6 +549,22 @@ Scenario parse_scenario(const JsonValue& root, const std::string& file) {
   if (scenario.faults && scenario.group)
     ctx.fail(*root.find("faults"),
              "\"faults\" campaigns run on the pairwise rig; drop the \"group\" section");
+  if (scenario.faults) {
+    // The campaign rig is the default platform with synchronized starts;
+    // a run or soc setting it cannot honour must not pass for one it did.
+    const JsonValue* soc = root.find("soc");
+    const JsonValue* run = root.find("run");
+    for (const char* key : {"shared_data", "data_base1", "text_stride"})
+      if (const JsonValue* f = soc ? soc->find(key) : nullptr)
+        ctx.fail(*f, std::string("\"faults\" campaigns run on the default platform; drop "
+                                 "\"soc.") + key + "\"");
+    if (scenario.run->stagger_nops != 0)
+      ctx.fail(*run->find("stagger_nops"),
+               "\"faults\" campaigns start both cores together; drop \"run.stagger_nops\"");
+    if (scenario.run->safede)
+      ctx.fail(*run->find("safede"),
+               "\"faults\" campaigns run without enforcement; drop \"run.safede\"");
+  }
   if ((!scenario.expect.distance_min.trivial() || !scenario.expect.distance_max.trivial()) &&
       !scenario.monitor.track_distance)
     ctx.fail(*root.find("expect"),
@@ -518,14 +572,38 @@ Scenario parse_scenario(const JsonValue& root, const std::string& file) {
   return scenario;
 }
 
-Scenario load_scenario_file(const std::string& path) {
+std::vector<Scenario> parse_scenarios(const JsonValue& root, const std::string& file) {
+  const JsonValue* cells = root.find("cells");
+  if (cells == nullptr) return {parse_scenario(root, file)};
+  const Ctx ctx{file};
+  if (!cells->is_array() || cells->items.empty())
+    ctx.fail(*cells, "\"cells\" must be a non-empty array of objects");
+  JsonValue base = root;
+  std::erase_if(base.members, [](const auto& member) { return member.first == "cells"; });
+  std::vector<Scenario> scenarios;
+  for (unsigned i = 0; i < cells->items.size(); ++i) {
+    const JsonValue& cell = cells->items[i];
+    const std::string tag = "\"cells[" + std::to_string(i) + "]\"";
+    ctx.object(cell, tag.c_str());
+    for (const char* key : {"schema", "name", "cells"})
+      if (const JsonValue* f = cell.find(key))
+        ctx.fail(*f, tag + " may not set \"" + key + "\"; it belongs to the file");
+    Scenario scenario = parse_scenario(merge_json(base, cell), file);
+    scenario.name += "[" + std::to_string(i) + "]";
+    collect_leaves(cell, "", scenario.cell_keys);
+    scenarios.push_back(std::move(scenario));
+  }
+  return scenarios;
+}
+
+std::vector<Scenario> load_scenario_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw ScenarioError(path, 0, "cannot read file");
   std::ostringstream buffer;
   buffer << in.rdbuf();
   try {
     const JsonValue root = parse_json(buffer.str());
-    return parse_scenario(root, path);
+    return parse_scenarios(root, path);
   } catch (const JsonParseError& e) {
     throw ScenarioError(path, e.line,
                         "JSON syntax error at column " + std::to_string(e.column) + ": " +

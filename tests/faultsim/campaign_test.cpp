@@ -80,17 +80,14 @@ TEST(Campaign, RejectsX0AndOutOfRangeRegisters) {
   const assembler::Program program = workloads::build("bitcount", 1);
   const ReferenceTrace trace = record_reference(program);
   const u64 budget = trace.cycles * 4 + 100'000;
-  EXPECT_THROW(inject_identical_fault(program, Injection{500, 0, 3}, trace.golden_checksum,
-                                      budget),
+  const u64 golden = trace.golden_checksum;
+  EXPECT_THROW(inject_identical_fault_timed(program, Injection{500, 0, 3}, golden, budget),
                CheckError);
-  EXPECT_THROW(inject_identical_fault(program, Injection{500, 32, 3}, trace.golden_checksum,
-                                      budget),
+  EXPECT_THROW(inject_identical_fault_timed(program, Injection{500, 32, 3}, golden, budget),
                CheckError);
-  EXPECT_THROW(inject_single_fault(program, Injection{500, 0, 3}, 0, trace.golden_checksum,
-                                   budget),
+  EXPECT_THROW(inject_single_fault_timed(program, Injection{500, 0, 3}, 0, golden, budget),
                CheckError);
-  EXPECT_THROW(inject_identical_fault(program, Injection{500, 6, 64}, trace.golden_checksum,
-                                      budget),
+  EXPECT_THROW(inject_identical_fault_timed(program, Injection{500, 6, 64}, golden, budget),
                CheckError);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "safedm/faultsim/campaign.hpp"
+
 #include "safedm/workloads/workloads.hpp"
 
 namespace safedm::faultsim {
@@ -24,8 +26,9 @@ TEST(FaultSim, SingleFaultNeverCausesSilentAgreementOnWrongResult) {
   const u64 budget = trace.cycles * 4 + 100'000;
   for (u64 cycle : {u64{200}, trace.cycles / 2, trace.cycles - 200}) {
     for (u8 reg : {u8{6}, u8{18}}) {
-      const Outcome outcome = inject_single_fault(program, Injection{cycle, reg, 13}, 0,
-                                                  trace.golden_checksum, budget);
+      const Outcome outcome = inject_single_fault_timed(program, Injection{cycle, reg, 13}, 0,
+                                                        trace.golden_checksum, budget)
+                                  .outcome;
       EXPECT_NE(outcome, Outcome::kCcf)
           << "single fault at cycle " << cycle << " reg " << int(reg);
     }
@@ -43,8 +46,9 @@ TEST(FaultSim, IdenticalFaultInLockstepStateIsACcf) {
   bool saw_ccf = false;
   for (u64 cycle : {u64{500}, u64{2000}, trace.cycles / 2}) {
     for (unsigned bit : {1u, 9u, 33u}) {
-      const Outcome outcome = inject_identical_fault(program, Injection{cycle, 9, bit},
-                                                     trace.golden_checksum, budget);
+      const Outcome outcome = inject_identical_fault_timed(program, Injection{cycle, 9, bit},
+                                                           trace.golden_checksum, budget)
+                                  .outcome;
       // reg s1 (x9) holds the element count in bitcount on both cores:
       // identical value in both => identical behaviour after the flip.
       EXPECT_NE(outcome, Outcome::kDetected) << "cycle " << cycle << " bit " << bit;
@@ -61,25 +65,38 @@ TEST(FaultSim, NoDivInjectionsAreNeverDetected) {
   // and therefore can never produce *differing* results ("detected").
   // (Unmonitored-state false positives could in principle break this; the
   // deterministic campaign below shows they do not here.)
-  const assembler::Program program = workloads::build("cubic", 1);
-  CampaignConfig config;
+  EngineConfig config;
+  config.workloads = {"cubic"};
   config.samples_per_class = 4;
   config.registers = {6, 9};
   config.bits = {3, 40};
-  const CampaignResult result = run_campaign(program, config);
-  ASSERT_GT(result.total(true), 0u) << "cubic must have no-div cycles to sample";
-  EXPECT_EQ(result.counts[1][static_cast<int>(Outcome::kDetected)], 0u);
+  config.single_fault = false;
+  const EngineReport report = run_engine(config);
+  ASSERT_EQ(report.workloads.size(), 1u);
+  const WorkloadReport& cubic = report.workloads[0];
+  ASSERT_GT(cubic.nodiv_pool, 0u) << "cubic must have no-div cycles to sample";
+  ASSERT_GT(cubic.identical[1].total(), 0u);
+  EXPECT_EQ(cubic.identical[1].count(Outcome::kDetected), 0u);
 }
 
 TEST(FaultSim, CampaignAggregatesConsistently) {
-  const assembler::Program program = workloads::build("bitcount", 1);
-  CampaignConfig config;
+  // Every injection lands in exactly one class aggregate, per workload and
+  // in the report total.
+  EngineConfig config;
+  config.workloads = {"bitcount", "isqrt"};
   config.samples_per_class = 2;
   config.registers = {6};
   config.bits = {3};
-  const CampaignResult result = run_campaign(program, config);
-  EXPECT_EQ(result.injections, result.total(false) + result.total(true));
-  EXPECT_GT(result.injections, 0u);
+  const EngineReport report = run_engine(config);
+  u64 sum = 0;
+  for (const WorkloadReport& wr : report.workloads) {
+    EXPECT_EQ(wr.injections,
+              wr.identical[0].total() + wr.identical[1].total() + wr.single.total())
+        << wr.name;
+    sum += wr.injections;
+  }
+  EXPECT_EQ(report.injections, sum);
+  EXPECT_GT(report.injections, 0u);
 }
 
 TEST(FaultSim, CheckpointTrainIsAscendingAndBounded) {

@@ -1,12 +1,15 @@
-// The tentpole equivalence claim: replaying a checked-in Table-1 scenario
-// through run_scenario() produces the same per-workload counters as
-// driving the shared redundant-run harness with the equivalent bench/table1
-// configuration. The harness itself is shared by construction (bench_util
-// re-exports src/scenario's run_redundant/max_over_runs); this test pins
-// the lowering — scenario defaults must keep matching the bench defaults.
+// The harness equivalence claim: replaying a Table-1 cell of
+// scenarios/table1.json through run_scenario() produces the same counters
+// as driving the shared redundant-run harness with the equivalent
+// hand-built configuration (default RunSpec, stagger from the column, max
+// over platform variants). The harness is shared by construction; this
+// test pins the lowering — scenario defaults must keep matching the
+// harness defaults.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 #include "safedm/scenario/runner.hpp"
 #include "safedm/workloads/workloads.hpp"
@@ -19,12 +22,15 @@ namespace safedm::scenario {
 namespace {
 
 TEST(RunnerEquiv, Table1ScenarioMatchesBenchHarness) {
-  const std::string path = std::string(SAFEDM_SCENARIO_DIR) + "/table1_bitcount_stag0.json";
-  const Scenario scenario = load_scenario_file(path);
-  ASSERT_TRUE(scenario.run.has_value());
-  EXPECT_EQ(scenario.run->workload, "bitcount");
+  const std::vector<Scenario> cells =
+      load_scenario_file(std::string(SAFEDM_SCENARIO_DIR) + "/table1.json");
+  const auto cell = std::find_if(cells.begin(), cells.end(), [](const Scenario& s) {
+    return s.run && s.run->workload == "bitcount" && s.run->stagger_nops == 0;
+  });
+  ASSERT_NE(cell, cells.end()) << "table1.json lost its bitcount/0-nop cell";
+  const Scenario& scenario = *cell;
 
-  // The bench/table1 side of the cell: default RunSpec, stagger from the
+  // The harness side of the cell: default RunSpec, stagger from the
   // column, max over platform variants.
   const assembler::Program program =
       workloads::build(scenario.run->workload, scenario.run->scale);
@@ -87,6 +93,25 @@ TEST(RunnerEquiv, ObserverBatchDefaultsTo32AndHonorsExplicitOne) {
   EXPECT_EQ(lowered_batch(""), 32u);
   EXPECT_EQ(lowered_batch(R"( "soc": { "observer_batch": 1 },)"), 1u);
   EXPECT_EQ(lowered_batch(R"( "soc": { "observer_batch": 8 },)"), 8u);
+}
+
+// The mechanism behind the pm anomaly (paper Section V-C), which the DSL
+// has no knob for: store-buffer coalescing changes pm's run length, in
+// opposite directions at a synchronized and a 1000-nop start.
+TEST(RunnerEquiv, StoreBufferCoalescingMovesPmCycles) {
+  const assembler::Program pm = workloads::build("pm", 1);
+  const auto cycles = [&](unsigned nops, bool coalesce) {
+    RunSpec spec;
+    spec.stagger_nops = nops;
+    spec.soc.core.store_buffer.coalesce = coalesce;
+    const RunOutcome out = run_redundant(pm, spec);
+    EXPECT_TRUE(out.completed);
+    return out.cycles;
+  };
+  EXPECT_EQ(cycles(0, true), 24459u);
+  EXPECT_EQ(cycles(0, false), 24706u);
+  EXPECT_EQ(cycles(1000, true), 29894u);
+  EXPECT_EQ(cycles(1000, false), 29826u);
 }
 
 TEST(RunnerEquiv, FailedBoundReportsDetail) {

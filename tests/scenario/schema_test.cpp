@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "safedm/scenario/scenario.hpp"
 
@@ -19,7 +21,7 @@ Scenario parse(const std::string& text) {
 /// line, prefixed `test.json:<line>:`, containing `needle`.
 void expect_diag(const std::string& text, unsigned line, const std::string& needle) {
   try {
-    (void)parse(text);
+    (void)parse_scenarios(parse_json(text), "test.json");
     FAIL() << "accepted: " << text;
   } catch (const ScenarioError& e) {
     const std::string what = e.what();
@@ -235,6 +237,147 @@ TEST(Schema, RejectsInvalidFuzzProgram) {
   "name": "x",
   "fuzz": { "program": ["not-a-fuzz-program"] }
 })", 4, "not a valid safedm-fuzz/v1 program");
+}
+
+TEST(Schema, RejectsFaultsWithSettingsTheRigIgnores) {
+  // The campaign rig is the default platform with synchronized starts, so
+  // each of these would silently pin a campaign the scenario did not ask
+  // for.
+  const auto with = [](const std::string& soc, const std::string& run) {
+    return R"({
+  "schema": "safedm.scenario/v1",
+  "name": "x",
+  "soc": { )" + soc + R"( },
+  "run": { "workload": "bitcount")" + run + R"( },
+  "faults": { "seed": 1 }
+})";
+  };
+  expect_diag(with(R"("shared_data": false)", ""), 4, "drop \"soc.shared_data\"");
+  expect_diag(with(R"("data_base1": 8192)", ""), 4, "drop \"soc.data_base1\"");
+  expect_diag(with(R"("text_stride": 8192)", ""), 4, "drop \"soc.text_stride\"");
+  expect_diag(with("", R"(, "stagger_nops": 100)"), 5, "drop \"run.stagger_nops\"");
+  expect_diag(with("", R"(, "safede": {})"), 5, "drop \"run.safede\"");
+  // What the rig does honour stays accepted: a zero stagger, the batch.
+  const Scenario ok = parse(with(R"("observer_batch": 8)", R"(, "stagger_nops": 0)"));
+  EXPECT_TRUE(ok.faults.has_value());
+}
+
+// ---- "cells": one file, many scenarios --------------------------------------
+
+std::vector<Scenario> parse_cells(const std::string& text) {
+  return parse_scenarios(parse_json(text), "test.json");
+}
+
+TEST(Cells, FileWithoutCellsIsOneScenario) {
+  const std::vector<Scenario> scenarios = parse_cells(kMinimal);
+  ASSERT_EQ(scenarios.size(), 1u);
+  EXPECT_EQ(scenarios[0].name, "minimal");
+  EXPECT_TRUE(scenarios[0].cell_keys.empty());
+}
+
+TEST(Cells, NestedObjectsMergeMemberByMember) {
+  const std::vector<Scenario> cells = parse_cells(R"({
+    "schema": "safedm.scenario/v1",
+    "name": "t",
+    "monitor": { "ports": 2, "depth": 16 },
+    "run": { "workload": "bitcount", "stagger_nops": 100, "sweep": false },
+    "expect": { "completed": true, "counters": { "nodiv_le_zero_stag": true } },
+    "cells": [
+      { "monitor": { "depth": 4 }, "expect": { "counters": { "nodiv": 3 } } },
+      { "run": { "workload": "cubic" } }
+    ]
+  })");
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].name, "t[0]");
+  EXPECT_EQ(cells[1].name, "t[1]");
+  // Cell 0 overrides one monitor member and keeps the other.
+  EXPECT_EQ(cells[0].monitor.ports, 2u);
+  EXPECT_EQ(cells[0].monitor.depth, 4u);
+  EXPECT_EQ(cells[0].run->workload, "bitcount");
+  EXPECT_EQ(cells[0].expect.nodiv.min, 3u);
+  EXPECT_EQ(cells[0].expect.completed, true);
+  EXPECT_EQ(cells[0].expect.nodiv_le_zero_stag, true);
+  // Cell 1 overrides the workload and keeps the rest of "run".
+  EXPECT_EQ(cells[1].monitor.depth, 16u);
+  EXPECT_EQ(cells[1].run->workload, "cubic");
+  EXPECT_EQ(cells[1].run->stagger_nops, 100u);
+  EXPECT_FALSE(cells[1].run->sweep);
+  EXPECT_TRUE(cells[1].expect.nodiv.trivial());
+  // The table keys are the cell's own leaves, without its pins.
+  using Keys = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(cells[0].cell_keys, (Keys{{"monitor.depth", "4"}}));
+  EXPECT_EQ(cells[1].cell_keys, (Keys{{"run.workload", "cubic"}}));
+}
+
+TEST(Cells, ArraysReplaceInsteadOfMerging) {
+  const std::vector<Scenario> cells = parse_cells(R"({
+    "schema": "safedm.scenario/v1",
+    "name": "t",
+    "run": { "workload": "bitcount" },
+    "faults": { "registers": [6, 9, 18], "bits": [2, 17] },
+    "cells": [ { "faults": { "registers": [5] } }, {} ]
+  })");
+  ASSERT_EQ(cells.size(), 2u);
+  EXPECT_EQ(cells[0].faults->registers, (std::vector<u8>{5}));
+  EXPECT_EQ(cells[0].faults->bits, (std::vector<unsigned>{2, 17}));
+  EXPECT_EQ(cells[1].faults->registers, (std::vector<u8>{6, 9, 18}));
+}
+
+TEST(Cells, ErrorInsideACellReportsTheCellsLine) {
+  expect_diag(R"({
+  "schema": "safedm.scenario/v1",
+  "name": "x",
+  "run": { "workload": "bitcount" },
+  "cells": [
+    { "run": { "stagger_nops": 100 } },
+    { "run": { "stagger_nops": "many" } }
+  ]
+})", 7, "\"run.stagger_nops\" must be an integer, got string");
+  // A cell missing what the base lacks points at the cell, not the file.
+  expect_diag(R"({
+  "schema": "safedm.scenario/v1",
+  "name": "x",
+  "cells": [
+    { "run": { "workload": "bitcount" } },
+    { "run": { "scale": 2 } }
+  ]
+})", 6, "\"run\" is missing required key \"workload\"");
+}
+
+TEST(Cells, RejectsFileLevelKeysInsideACell) {
+  for (const char* key : {"schema", "name", "cells"}) {
+    expect_diag(std::string(R"({
+  "schema": "safedm.scenario/v1",
+  "name": "x",
+  "run": { "workload": "bitcount" },
+  "cells": [
+    { ")") + key + R"(": "y" }
+  ]
+})", 6, std::string("\"cells[0]\" may not set \"") + key + "\"");
+  }
+}
+
+TEST(Cells, RejectsEmptyOrMalformedCells) {
+  expect_diag(R"({
+  "schema": "safedm.scenario/v1",
+  "name": "x",
+  "run": { "workload": "bitcount" },
+  "cells": []
+})", 5, "\"cells\" must be a non-empty array of objects");
+  expect_diag(R"({
+  "schema": "safedm.scenario/v1",
+  "name": "x",
+  "run": { "workload": "bitcount" },
+  "cells": { "run": {} }
+})", 5, "\"cells\" must be a non-empty array of objects");
+  expect_diag(R"({
+  "schema": "safedm.scenario/v1",
+  "name": "x",
+  "run": { "workload": "bitcount" },
+  "cells": [
+    7
+  ]
+})", 6, "\"cells[0]\" must be an object, got number");
 }
 
 TEST(Schema, ReportsJsonSyntaxErrorsThroughSameChannel) {
